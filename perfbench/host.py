@@ -6,6 +6,7 @@ import os
 import shutil
 import signal
 import statistics
+import subprocess
 import threading
 import time
 
@@ -17,16 +18,8 @@ _MAX_RAY_TEMP = 107 - 66
 
 
 def nproc() -> int:
-    """What coreutils ``nproc`` prints: the CPUs this process may run on,
-    overridden by OMP_NUM_THREADS and capped by OMP_THREAD_LIMIT."""
-    n = len(os.sched_getaffinity(0))
-    omp = os.environ.get("OMP_NUM_THREADS", "").split(",")[0].strip()
-    if omp.isdigit() and int(omp) > 0:
-        n = int(omp)
-    limit = os.environ.get("OMP_THREAD_LIMIT", "").strip()
-    if limit.isdigit() and int(limit) > 0:
-        n = min(n, int(limit))
-    return n
+    """What coreutils ``nproc`` prints."""
+    return int(subprocess.check_output(["nproc"]))
 
 
 def ray_temp_dir(work_dir: str) -> str:
@@ -150,7 +143,7 @@ class PeakRss:
         self.peak_kb = 0
         self._stop = threading.Event()
         self._thread = None
-        self._worker: dict[int, bool] = {}
+        self._workers: set[int] = set()
 
     def _raylets(self) -> list[int]:
         return [p for p in _children(os.getpid()) if "raylet" in _cmdline(p).split("\0")[0]]
@@ -159,12 +152,15 @@ class PeakRss:
         pids = [os.getpid()]
         for raylet in self._raylets():
             for p in _children(raylet):
-                if p not in self._worker:
-                    # a worker renames itself "ray::<task>" once it starts;
-                    # the raylet's other children are its agents
+                # a worker renames itself "ray::<task>" once it starts; the
+                # raylet's other children are its agents.  A child caught
+                # between fork and exec still reads as the raylet, so only a
+                # positive verdict is kept and the rest are asked again
+                if p not in self._workers:
                     cmd = _cmdline(p)
-                    self._worker[p] = cmd.startswith("ray::") or "default_worker.py" in cmd
-                if self._worker[p]:
+                    if cmd.startswith("ray::") or "default_worker.py" in cmd:
+                        self._workers.add(p)
+                if p in self._workers:
                     pids.append(p)
         return pids
 

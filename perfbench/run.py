@@ -29,11 +29,11 @@ WORK = os.path.join(ROOT, ".perfbench")
 # run as a script, so the package's parent goes first on the path
 sys.path[0] = ROOT
 
-CORPUS_ROWS = 60_000
+CORPUS_ROWS = 200_000
 CORPUS_FILES = 8
-EDGES = 20_000
+EDGES = 100_000
 EDGE_FILES = 2
-SETUPS = 2  # setup_s is the median of this many ray.init + warm-up runs
+SETUPS = 2  # setup_s is the median of this many ray.init + warm-ups
 
 UNITS = {"setup_s": "s", "wall_s": "s", "rows_per_core_s": "1/s", "peak_rss_mb": "MiB"}
 
@@ -47,20 +47,25 @@ def parse_args(argv):
     return p.parse_args(argv)
 
 
-def make_inputs(seed: int, tmp_dir: str):
+def make_inputs(seed: int, tmp_dir: str, workloads: set):
+    """Both inputs, and the answers for ``workloads`` only."""
     from perfbench import inputs, reference
     from perfbench.workloads import Inputs
 
     corpus = inputs.transcripts(seed, CORPUS_ROWS)
     edges = inputs.edges(seed, EDGES)
+    answers = {}
+    if workloads & {"flagship", "reassemble"}:
+        answers.update(reference.corpus_answers(corpus, tmp_dir))
+    if "graph" in workloads:
+        answers.update(reference.graph_answers(edges, tmp_dir))
     inp = Inputs(
         corpus=corpus,
         corpus_files=inputs.write_files(corpus.select(inputs.TRANSCRIPT_COLUMNS),
                                         os.path.join(tmp_dir, "corpus"), CORPUS_FILES, "conv_id"),
         edges=edges,
         edge_files=inputs.write_files(edges, os.path.join(tmp_dir, "edges"), EDGE_FILES),
-        answers={**reference.corpus_answers(corpus, tmp_dir),
-                 **reference.graph_answers(edges, tmp_dir)},
+        answers=answers,
         tmp_dir=tmp_dir,
     )
     hashes = {"corpus_sha256": inputs.content_hash(corpus),
@@ -91,15 +96,13 @@ class Tally:
 
 
 def measure(workload, seconds: float, tally: Tally, tracer) -> list:
-    """Closed loop: one run at a time, for ``seconds``.  A run starts only
-    if a run as long as the last one would end in time; the first always
-    starts."""
+    """Closed loop: one run at a time, started until ``seconds`` have
+    passed; the last run may end after that."""
     results = []
     t_end = time.perf_counter() + seconds
-    while True:
+    while not results or time.perf_counter() < t_end:
         results.append(tally.run(workload, tracer))
-        if time.perf_counter() + results[-1].wall_s > t_end:
-            return results
+    return results
 
 
 def median_of(results, key=None) -> float:
@@ -108,10 +111,10 @@ def median_of(results, key=None) -> float:
 
 
 def untraced(args, inp, session, tally, record) -> dict:
-    """``SETUPS`` fresh Ray sessions, each set up (ray.init + one untimed
-    warm-up run); the last is then measured for ``args.seconds``."""
+    """``SETUPS`` fresh Ray sessions, each set up (ray.init + the untimed
+    warm-up); the last is then measured for ``args.seconds``."""
     from perfbench.host import PeakRss
-    from perfbench.workloads import WORKLOADS, Tracer
+    from perfbench.workloads import WORKLOADS, Tracer, warm_up
 
     workload = WORKLOADS[args.workload](inp)
     off = Tracer(False)
@@ -121,7 +124,7 @@ def untraced(args, inp, session, tally, record) -> dict:
             session.stop()
         t0 = time.perf_counter()
         session.start()
-        tally.run(workload, off)
+        warm_up(workload, lambda w: tally.run(w, off))
         setup_s.append(time.perf_counter() - t0)
     rss = PeakRss()
     rss.start()
@@ -130,6 +133,9 @@ def untraced(args, inp, session, tally, record) -> dict:
     wall = median_of(results)
     record["setup_s"] = setup_s
     record["runs"] = [{"wall_s": r.wall_s, "ok": r.ok, **r.ops} for r in results]
+    walls = [r.wall_s for r in results if r.ok]
+    record["wall_s"] = {"median": wall, "n": len(walls),
+                        "quartiles": statistics.quantiles(walls, n=4) if len(walls) > 1 else walls}
     keys = next((r.extra for r in results if r.ok), {})
     record["workload_metrics"] = {k: median_of(results, k) for k in keys}
     return {
@@ -161,7 +167,8 @@ def main(argv=None) -> int:
               "trace": args.trace}
     try:
         record["host"] = host_record(cpus)
-        inp, record["inputs"] = make_inputs(args.seed, tmp_dir)
+        needs = set(layers.LAYERS) if args.trace else {args.workload}
+        inp, record["inputs"] = make_inputs(args.seed, tmp_dir, needs)
         if args.trace:
             metrics = layers.traced(args, inp, session, tally, record)
         else:
