@@ -114,6 +114,30 @@ def _descendants(pid: int) -> list[int]:
     return out
 
 
+_TICK_S = 1.0 / os.sysconf("SC_CLK_TCK")
+
+
+def tree_cpu_s() -> float:
+    """CPU seconds (user + system) used so far by this process and every
+    process under it (Ray's daemons, its workers and their reaped children).
+
+    The difference of two readings is the tree's CPU time in between, also
+    for a process that exits in between: once reaped, its whole total moves
+    to its parent's children-total, and the first reading holds its share
+    from before.  Stolen time, when the hypervisor runs another machine on
+    this one's virtual CPU, is not CPU time, so the difference is steadier
+    than wall time on an oversubscribed host."""
+    ticks = 0
+    for pid in [os.getpid()] + _descendants(os.getpid()):
+        try:
+            with open(f"/proc/{pid}/stat") as f:
+                fields = f.read().rsplit(")", 1)[1].split()
+        except (FileNotFoundError, ProcessLookupError):
+            continue
+        ticks += sum(int(v) for v in fields[11:15])  # utime stime cutime cstime
+    return ticks * _TICK_S
+
+
 def _alive(pid: int) -> bool:
     """True until the process has exited (a zombie counts as exited)."""
     try:

@@ -9,8 +9,8 @@ reducer; graph layers by running PageRank with 5 and with 25 iterations, and
 over an empty edge table for the per-call start-up of the shard actors.
 
 Every traced run reports every layer, whichever ``--workload`` it was given;
-the workload only selects which untraced run the tracing overhead is taken
-against.
+the workload only selects the untraced run that gives ``wall_s`` and
+``rows_per_core_s`` and that the tracing overhead is taken against.
 """
 
 from __future__ import annotations
@@ -62,6 +62,8 @@ UNITS = {
     "pagerank_fp_s": "s",
     "components_s": "s",
     "trace.overhead_s": "s",
+    "wall_s": "s",
+    "rows_per_core_s": "1/s",
 }
 
 
@@ -223,6 +225,8 @@ def traced(args, inp, session, tally, record) -> dict:
         # before the graph calls, whose shard actors are still exiting
         # for a while after each call returns
         untraced_s = tally.run(wls[args.workload], off).wall_s
+        rnd["wall_s"] = untraced_s
+        rnd["rows_per_core_s"] = wls[args.workload].rows / (untraced_s * session.cpus)
         for name, fn in LAYERS.items():
             got = fn(wls[name], tracer, tally)
             walls[name] = got.pop("_wall_s")

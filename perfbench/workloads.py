@@ -13,6 +13,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from perfbench import reference
+from perfbench.host import tree_cpu_s
 from perfbench.reference import PAGERANK_ITERS, max_abs_diff, same_columns, sorted_by
 
 FLOAT_PAGERANK_TOL = 1e-10
@@ -79,6 +80,7 @@ class RunResult:
     ops: dict = field(default_factory=dict)  # seconds per public call
     ok: bool = True
     extra: dict = field(default_factory=dict)
+    cpu_s: float = float("nan")  # CPU seconds of the driver and every Ray process
 
 
 def collect(ds) -> pa.Table:
@@ -113,8 +115,10 @@ class Flagship:
         out_dir = os.path.join(self.inp.tmp_dir, f"flagship-{self.runs}")
         self.runs += 1
         clock = Clock(tracer)
+        cpu0 = tree_cpu_s()
         metrics = clock("flagship.run_pipeline", lambda: run_pipeline(
             read(self.inp.corpus_files), self.cfg, out_dir, write_metrics=False))
+        cpu_s = tree_cpu_s() - cpu0
         want = self.inp.answers["flagship"]
         sink = sink_summary(os.path.join(out_dir, "routed"))
         shutil.rmtree(out_dir, ignore_errors=True)
@@ -124,7 +128,7 @@ class Flagship:
             "sink_bytes_per_row": sink["bytes"] / self.rows,
             "sink_files": sink["files"],
             "sink_bytes": sink["bytes"],
-        })
+        }, cpu_s)
 
 
 def sink_summary(sink_dir: str) -> dict:
@@ -159,10 +163,12 @@ class Reassemble:
 
         files = self.inp.corpus_files
         clock = Clock(tracer)
+        cpu0 = tree_cpu_s()
         dialogues = clock("reassemble.fold_dialogues", lambda: collect(
             fold_dialogues(read(files, self.TEXT_COLS))))
         transitions = clock("sequence.transition_counts", lambda: transition_counts(
             read(files, self.NARROW_COLS), "conv_id", "turn_idx", "role", as_pandas=False))
+        cpu_s = tree_cpu_s() - cpu0
         ok = (same_columns(sorted_by(dialogues, "conv_id"), self.inp.answers["dialogues"],
                            ["conv_id", "dialogue"])
               and same_columns(sorted_by(transitions, "from_val", "to_val"),
@@ -170,7 +176,7 @@ class Reassemble:
         return RunResult(sum(clock.s.values()), clock.s, ok, {
             "dialogues_s": clock.s["reassemble.fold_dialogues"],
             "transitions_s": clock.s["sequence.transition_counts"],
-        })
+        }, cpu_s)
 
 
 class Graph:
@@ -203,10 +209,12 @@ class Graph:
         from logray.functions.graph import connected_components_graph
 
         clock = Clock(tracer)
+        cpu0 = tree_cpu_s()
         pr = clock("graph.pagerank", self.pagerank, False, PAGERANK_ITERS)
         fp = clock("graph.pagerank_fixedpoint", self.pagerank, True, PAGERANK_ITERS)
         cc = clock("graph.connected_components_graph", lambda: collect(
             connected_components_graph(read(self.inp.edge_files))))
+        cpu_s = tree_cpu_s() - cpu0
         want = self.inp.answers
         pr, fp = sorted_by(pr, "node"), sorted_by(fp, "node")
         ok = (same_columns(fp, want["ranks"], ["node", "rank"])
@@ -218,7 +226,7 @@ class Graph:
             "pagerank_s": clock.s["graph.pagerank"],
             "pagerank_fp_s": clock.s["graph.pagerank_fixedpoint"],
             "components_s": clock.s["graph.connected_components_graph"],
-        })
+        }, cpu_s)
 
 
 WORKLOADS = {w.name: w for w in (Flagship, Reassemble, Graph)}
