@@ -14,7 +14,7 @@ Prints ONE JSON line:
 throughputs plus scaling efficiency.
 
 Env: GRAFT_SF_DIR (default /root/testdata/sf0.1), RAY_GRAFT_CPUS (default
-32), LOGRAY_BENCH_ROWS (override corpus size).
+what ``nproc`` prints), LOGRAY_BENCH_ROWS (override corpus size).
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS")
+               or subprocess.check_output(["nproc"]))
 
 # corpus sizing: ~32 rows per lineitem row at the given sf (sf0.1 -> ~3.2M
 # turns), deterministic and cached on disk between runs

@@ -48,6 +48,7 @@ from logray.functions.fingerprint import (
     minhash_signatures,
     simhash,
 )
+from logray.functions.vertexshard import ShardRun, VertexShard
 
 # ---------------------------------------------------------------------------
 # exact dedup
@@ -744,39 +745,18 @@ def _typed_labels(t: pa.Table) -> pa.Table:
     return t.select(["doc_id", "label"]).cast(_LABEL_SCHEMA)
 
 
-def _cc_owner(v: np.ndarray, num_shards: int) -> np.ndarray:
-    """Shard owner of a vertex id: multiplicative hash partition."""
-    return (((v.astype(np.uint64) * np.uint64(2654435761)) & np.uint64(0xFFFFFFFF))
-            % np.uint64(num_shards)).astype(np.int64)
-
-
 @ray.remote(num_cpus=0)
-class _CCShard:
-    """One hash partition of the connected-components label index.
+class _CCShard(VertexShard):
+    """Connected-components kernel: one hash partition of the
+    vertex->label index (the engine is
+    :class:`~logray.functions.vertexshard.VertexShard`).  Labels only
+    decrease, by ``np.minimum.at`` scatter-min, so no fold order
+    matters."""
 
-    ``num_cpus=0``: the shard is an index holder that reacts to short
-    vectorized message bursts; reserving whole CPUs for B idle actors would
-    starve the Dataset tasks that feed them (and deadlocks a small cluster).
-
-    The vertex->label map LIVES on this actor across rounds (the shared
-    mutable index the Dataset API cannot express without re-shuffling the
-    whole label table every round); only small message arrays move between
-    shards.  All per-shard work is vectorized numpy (searchsorted lookups,
-    ``np.minimum.at`` scatter-min) — no per-vertex Python objects."""
-
-    def __init__(self, shard_id: int, num_shards: int):
-        self.id = shard_id
-        self.B = num_shards
-        self._src_parts: list[np.ndarray] = []
-        self._dst_parts: list[np.ndarray] = []
-        self.verts = np.zeros(0, np.int64)
-        self.labels = np.zeros(0, np.int64)
-        self._pending_req: tuple[np.ndarray, np.ndarray] | None = None
-
-    def add_edges(self, src: np.ndarray, dst: np.ndarray) -> int:
-        self._src_parts.append(np.asarray(src, np.int64))
-        self._dst_parts.append(np.asarray(dst, np.int64))
-        return len(src)
+    STATE = ("label",)
+    DTYPE = np.int64
+    RESULT = (("component", pa.int64()),)
+    DISTINCT_EDGES = True
 
     def build(self) -> int:
         """Freeze edges (DEDUPED — relaxation is min-scatter, so parallel
@@ -785,49 +765,26 @@ class _CCShard:
         raw count depend on block boundaries, which would refuse a
         legitimate resume under different read parallelism), init
         label(v) = min(v, local out-neighbors)."""
-        src = np.concatenate(self._src_parts) if self._src_parts else np.zeros(0, np.int64)
-        dst = np.concatenate(self._dst_parts) if self._dst_parts else np.zeros(0, np.int64)
-        self._src_parts, self._dst_parts = [], []
-        order = np.lexsort((dst, src))
-        src, dst = src[order], dst[order]
-        if len(src):
-            first = np.r_[True, (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])]
-            src, dst = src[first], dst[first]
-        self.src, self.dst = src, dst
-        self.verts, starts = np.unique(self.src, return_index=True)
-        self.labels = self.verts.copy()
-        if len(self.src):
-            np.minimum.at(self.labels,
-                          np.searchsorted(self.verts, self.src),
-                          self.dst)
+        self.src, self.dst = self._sorted_edges(
+            *self._take("edges", np.int64, np.int64))
+        self.verts = np.unique(self.src)
+        self.label = self._fold(self.verts.copy(), [(self.src, self.dst)],
+                                np.minimum.at)
+        self._dst_idx = self._dest_index(self.dst)
         return len(self.verts)
 
     def _lookup(self, v: np.ndarray) -> np.ndarray:
-        idx = np.searchsorted(self.verts, v)
-        return self.labels[idx]
-
-    def _apply_min(self, v: np.ndarray, lab: np.ndarray) -> None:
-        if len(v):
-            np.minimum.at(self.labels, np.searchsorted(self.verts, v), lab)
+        return self.label[np.searchsorted(self.verts, v)]
 
     def emit_a(self):
         """Per-dest-shard messages: relax (dst, label[src]) + pointer-
         doubling requests (l=label[v], v)."""
-        relax_v = self.dst
-        relax_lab = self._lookup(self.src) if len(self.src) else np.zeros(0, np.int64)
-        req_l = self.labels
-        req_v = self.verts
-        own_r = _cc_owner(relax_v, self.B)
-        own_q = _cc_owner(req_l, self.B)
-        out = []
-        for j in range(self.B):
-            mr, mq = own_r == j, own_q == j
-            out.append((relax_v[mr], relax_lab[mr], req_l[mq], req_v[mq]))
-        return out if self.B > 1 else out[0]
+        return self._send(
+            (self._dst_idx, self.dst, self._lookup(self.src)),
+            (self._dest_index(self.label), self.label, self.verts))
 
     def apply_a(self, *msgs) -> int:
-        rv = [m[0] for m in msgs]; rl = [m[1] for m in msgs]
-        self._apply_min(np.concatenate(rv), np.concatenate(rl))
+        self._fold(self.label, [m[:2] for m in msgs], np.minimum.at)
         self._pending_req = (np.concatenate([m[2] for m in msgs]),
                              np.concatenate([m[3] for m in msgs]))
         return 0
@@ -836,45 +793,17 @@ class _CCShard:
         """Answer pointer requests: for each (l, v) deliver (v, label[l])."""
         l, v = self._pending_req
         self._pending_req = None
-        lab = self._lookup(l) if len(l) else np.zeros(0, np.int64)
-        own = _cc_owner(v, self.B)
-        out = []
-        for j in range(self.B):
-            m = own == j
-            out.append((v[m], lab[m]))
-        return out if self.B > 1 else out[0]
+        return self._send((self._dest_index(v), v, self._lookup(l)))
 
     def apply_b(self, *msgs) -> int:
-        self._apply_min(np.concatenate([m[0] for m in msgs]),
-                        np.concatenate([m[1] for m in msgs]))
+        self._fold(self.label, msgs, np.minimum.at)
         return int(len(self.verts))
 
     def label_sum(self) -> int:
-        return int(self.labels.sum())
+        return int(self.label.sum())
 
-    def edge_count(self) -> int:
-        return len(self.src)
-
-    def dump_state(self, path: str) -> int:
-        from logray.functions.graph import _dump_shard_state
-
-        return _dump_shard_state(
-            path, {"node": self.verts, "label": self.labels})
-
-    def load_state(self, path: str) -> int:
-        from logray.functions.graph import _load_shard_state
-
-        t = _load_shard_state(path, self.verts)
-        self.labels = t["label"].to_numpy(
-            zero_copy_only=False).astype(np.int64)
-        return len(self.verts)
-
-    def labels_table(self) -> pa.Table:
-        if not len(self.verts):
-            return pa.schema([("doc_id", pa.int64()),
-                              ("component", pa.int64())]).empty_table()
-        return pa.table({"doc_id": pa.array(self.verts),
-                         "component": pa.array(self.labels)})
+    def _result(self):
+        return (self.label,)
 
 
 def connected_components_distributed(pairs, id_a: str = "id_a", id_b: str = "id_b",
@@ -900,82 +829,54 @@ def connected_components_distributed(pairs, id_a: str = "id_a", id_b: str = "id_
     returning split components.  Returns a Dataset (doc_id, component)
     where component is the minimum id of the cluster.
 
-    ``checkpoint`` / ``checkpoint_every`` / ``_fault``: same
-    per-round snapshot-and-resume protocol as the PageRank family
-    (graph._ckpt_*): labels snapshot post-round, a resumed run reloads
-    the newest committed round and continues toward the fixpoint
+    ``checkpoint`` / ``checkpoint_every`` / ``_fault``: same per-round
+    snapshot-and-resume protocol as the PageRank family
+    (``ShardRun.commit`` / ``ShardRun.resume``): labels snapshot
+    post-round, a resumed run reloads the newest committed round and
+    continues toward the fixpoint
     (labels only decrease, so resuming AT the fixpoint just re-detects
     it one round later — bit-equal output either way)."""
-    from logray.functions.graph import _ckpt_commit, _ckpt_load, _ckpt_open
+    return _components(pairs, id_a, id_b, max_rounds, num_shards,
+                       checkpoint, checkpoint_every, _fault, "doc_id")
 
-    B = num_shards
-    man = None
-    start = 0
-    if checkpoint is not None:
-        man, start = _ckpt_open(checkpoint, {
-            "algo": "connected_components", "id_a": id_a, "id_b": id_b,
-            "num_shards": B,
-        }, max_rounds, checkpoint_every)
-    shards = [_CCShard.remote(i, B) for i in range(B)]  # type: ignore[attr-defined]
 
-    def push(t: pa.Table) -> pa.Table:
-        a = t[id_a].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        b = t[id_b].cast(pa.int64()).to_numpy(zero_copy_only=False)
-        src = np.concatenate([a, b]); dst = np.concatenate([b, a])
-        own = _cc_owner(src, B)
-        acks = []
-        for j in range(B):
-            m = own == j
-            if m.any():
-                acks.append(shards[j].add_edges.remote(src[m], dst[m]))
-        ray.get(acks)
-        return pa.table({"n": pa.array([len(a)], pa.int64())})
+def _components(pairs, id_a, id_b, max_rounds, num_shards, checkpoint,
+                checkpoint_every, _fault, node_col):
+    """:func:`connected_components_distributed` with its id column
+    named ``node_col``."""
+    with ShardRun(_CCShard, num_shards) as run:
+        if checkpoint is not None:
+            run.open_checkpoint(checkpoint, {
+                "algo": "connected_components", "id_a": id_a, "id_b": id_b,
+                "num_shards": num_shards,
+            }, max_rounds, checkpoint_every)
 
-    pairs.map_batches(push, batch_format="pyarrow").materialize()
-    counts = ray.get([s.build.remote() for s in shards])
+        def routes(t: pa.Table):
+            a = t[id_a].cast(pa.int64()).to_numpy(zero_copy_only=False)
+            b = t[id_b].cast(pa.int64()).to_numpy(zero_copy_only=False)
+            src = np.concatenate([a, b])
+            return [("edges", src, (src, np.concatenate([b, a])))]
 
-    meta = None
-    if man is not None:
-        meta = {"n_total": int(sum(counts)), "edges": int(sum(ray.get(
-            [s.edge_count.remote() for s in shards])))}
-        if start:
-            _ckpt_load(man, start, shards, meta)
-    prev_sum = sum(ray.get([s.label_sum.remote() for s in shards]))
-    converged = False
-    for it in range(start, max_rounds):
-        if _fault is not None:
-            _fault("round", it)
-        outs = [s.emit_a.options(num_returns=B).remote() if B > 1
-                else [s.emit_a.remote()] for s in shards]
-        ray.get([shards[j].apply_a.remote(*[outs[i][j] for i in range(B)])
-                 for j in range(B)])
-        outs = [s.emit_b.options(num_returns=B).remote() if B > 1
-                else [s.emit_b.remote()] for s in shards]
-        ray.get([shards[j].apply_b.remote(*[outs[i][j] for i in range(B)])
-                 for j in range(B)])
-        cur_sum = sum(ray.get([s.label_sum.remote() for s in shards]))
-        done = it + 1
-        if man is not None and (done % checkpoint_every == 0
-                                or cur_sum == prev_sum):
-            _ckpt_commit(man, done, shards, meta)
-        if cur_sum == prev_sum:
-            converged = True
-            break
-        prev_sum = cur_sum
+        run.push(pairs, routes)
+        run.build()
+        start = run.resume()
+        prev_sum = sum(run.call("label_sum"))
+        for it in range(start, max_rounds):
+            if _fault is not None:
+                _fault("round", it)
+            run.exchange("emit_a", "apply_a")
+            run.exchange("emit_b", "apply_b")
+            cur_sum = sum(run.call("label_sum"))
+            run.commit(it + 1, cur_sum == prev_sum)
+            if cur_sum == prev_sum:
+                return run.collect(node_col)
+            prev_sum = cur_sum
 
-    if not converged:
-        for s in shards:
-            ray.kill(s)
         raise RuntimeError(
             f"connected_components_distributed did not reach a fixpoint in "
             f"{max_rounds} rounds; raise max_rounds (each round doubles the "
             f"propagation horizon, so this indicates an extreme graph)"
         )
-
-    import ray.data as rd
-
-    out = rd.from_arrow_refs([s.labels_table.remote() for s in shards])
-    return out.materialize()
 
 
 # ---------------------------------------------------------------------------

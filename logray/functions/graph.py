@@ -13,10 +13,11 @@ nodes; Watts & Strogatz 1998), and k-core pruning (Seidman 1983).
 
 Scale shape shared by the family: the edge list is the only large input
 and it moves AT MOST ONCE — either one narrow ``hash % B`` bucket
-exchange (degrees, triangles) or one push into per-shard actor memory
-(PageRank, which then iterates over small rank/contribution messages
-without ever re-shuffling edges; same shared-mutable-index justification
-as ``dedup._CCShard``).  Nothing here materializes a full-width dataset:
+exchange (degrees, triangles) or one push into per-shard actor memory:
+PageRank, HITS and connected components run on the one sharded
+vertex-state engine (:mod:`logray.functions.vertexshard`), which then
+iterates over small per-edge messages without ever re-shuffling edges.
+Nothing here materializes a full-width dataset:
 every exchange carries only int64 node ids plus one count/float column.
 
 Reference anchor: the reference viewer has no graph surface (its closest
@@ -33,6 +34,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
+from logray.functions.vertexshard import ShardRun, VertexShard
 from logray.stages.bucketing import grouped_apply
 
 __all__ = [
@@ -56,10 +58,14 @@ __all__ = [
 ]
 
 
-def _to_int64(col) -> np.ndarray:
+def _to_numpy(col, typ) -> np.ndarray:
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
-    return pc.cast(col, pa.int64()).to_numpy(zero_copy_only=False)
+    return pc.cast(col, typ).to_numpy(zero_copy_only=False)
+
+
+def _to_int64(col) -> np.ndarray:
+    return _to_numpy(col, pa.int64())
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +146,7 @@ def connected_components_graph(edges, src: str = "src", dst: str = "dst",
     ``checkpoint`` / ``checkpoint_every`` / ``_fault``: per-round
     snapshot-and-resume, same protocol as :func:`pagerank`.
     """
-    from logray.functions.dedup import connected_components_distributed
+    from logray.functions.dedup import _components
 
     def narrow(t: pa.Table) -> pa.Table:
         # per-batch dedup: components are multiset-insensitive, and a
@@ -154,16 +160,8 @@ def connected_components_graph(edges, src: str = "src", dst: str = "dst",
 
     pairs = edges.map_batches(narrow, batch_format="pyarrow",
                               zero_copy_batch=True)
-    labels = connected_components_distributed(
-        pairs, max_rounds=max_rounds, num_shards=num_shards,
-        checkpoint=checkpoint, checkpoint_every=checkpoint_every,
-        _fault=_fault)
-
-    def rename(t: pa.Table) -> pa.Table:
-        return t.rename_columns([node_col, "component"])
-
-    return labels.map_batches(rename, batch_format="pyarrow",
-                              zero_copy_batch=True)
+    return _components(pairs, "id_a", "id_b", max_rounds, num_shards,
+                       checkpoint, checkpoint_every, _fault, node_col)
 
 
 def connected_components_sql(table: str, src: str = "src", dst: str = "dst",
@@ -193,72 +191,27 @@ def connected_components_sql(table: str, src: str = "src", dst: str = "dst",
 # rank/contribution messages move)
 # ---------------------------------------------------------------------------
 
-def _pr_owner(v: np.ndarray, num_shards: int) -> np.ndarray:
-    """Shard owner of a vertex id (same multiplicative hash as the CC
-    shards, so the two engines partition identically)."""
-    return (((v.astype(np.uint64) * np.uint64(2654435761))
-             & np.uint64(0xFFFFFFFF))
-            % np.uint64(num_shards)).astype(np.int64)
+class _PRKernel(VertexShard):
+    """PageRank shard state shared by the float and int64 kernels: the
+    out-edges of this shard's vertices (``edges``, pushed to owner(src)),
+    every vertex it owns (``nodes``: dst ids pushed to owner(dst), so
+    in-only vertices exist too), per-vertex total out-weight ``wout``,
+    the teleport vector ``p`` and ``rank``."""
 
+    STATE = ("rank",)
+    RESULT = (("rank", pa.float64()),)
+    NAME = "pagerank"
 
-@ray.remote(num_cpus=0)
-class _PRShard:
-    """One hash partition of the PageRank state.
-
-    The out-edge CSR and the rank vector LIVE here across iterations —
-    the shared mutable state the Dataset API cannot express without
-    re-shuffling the full edge list every iteration (10 iterations of a
-    Dataset join would pay the all-to-all edge exchange 10x; this pays it
-    once at load).  ``num_cpus=0`` for the same reason as ``_CCShard``:
-    B index-holder actors must not starve the Dataset tasks feeding them.
-
-    Bit-determinism contract: every reduction folds in a fixed order —
-    edges are lexsorted (src, dst) at build, per-destination-shard
-    message slices preserve that order, receivers fold sender shards
-    0..B-1 with ``np.add.at`` (sequential scatter-add), and the dangling
-    sum reduces over the sorted vertex order.  The result is therefore a
-    pure function of (edge multiset, damping, n_iter, num_shards) — how
-    the input was partitioned cannot change a single bit.
-    """
-
-    def __init__(self, shard_id: int, num_shards: int):
-        self.id = shard_id
-        self.B = num_shards
-        self._src_parts: list[np.ndarray] = []
-        self._dst_parts: list[np.ndarray] = []
-        self._w_parts: list[np.ndarray] = []
-        self._node_parts: list[np.ndarray] = []
-
-    def add_edges(self, src: np.ndarray, dst: np.ndarray,
-                  w: np.ndarray | None = None) -> int:
-        self._src_parts.append(np.asarray(src, np.int64))
-        self._dst_parts.append(np.asarray(dst, np.int64))
-        self._w_parts.append(
-            np.asarray(w, np.float64) if w is not None
-            else np.ones(len(src), np.float64))
-        return len(src)
-
-    def add_nodes(self, v: np.ndarray) -> int:
-        self._node_parts.append(np.asarray(v, np.int64))
-        return len(v)
-
-    def build(self) -> int:
-        src = (np.concatenate(self._src_parts) if self._src_parts
-               else np.zeros(0, np.int64))
-        dst = (np.concatenate(self._dst_parts) if self._dst_parts
-               else np.zeros(0, np.int64))
-        w = (np.concatenate(self._w_parts) if self._w_parts
-             else np.zeros(0, np.float64))
-        reg = (np.concatenate(self._node_parts) if self._node_parts
-               else np.zeros(0, np.int64))
-        # three SEPARATE literals — aliasing one list would let a
-        # straggling post-build add_edges cross-contaminate all buffers
-        self._src_parts = []
-        self._dst_parts = []
-        self._node_parts = []
-        self._w_parts = []
+    def build(self, weighted: bool) -> int:
+        if weighted:
+            src, dst, w = self._take("edges", np.int64, np.int64,
+                                     self.DTYPE)
+        else:
+            src, dst = self._take("edges", np.int64, np.int64)
+            w = np.ones(len(src), self.DTYPE)
+        (reg,) = self._take("nodes", np.int64)
         if (w < 0).any():
-            raise ValueError("pagerank: negative edge weight")
+            raise ValueError(f"{self.NAME}: negative edge weight")
         self.verts = np.unique(np.concatenate([src, reg]))
         keep = w > 0  # zero-weight edges contribute nothing and would
         src, dst, w = src[keep], dst[keep], w[keep]  # 0/0 in emit
@@ -268,21 +221,30 @@ class _PRShard:
         # the bit-determinism contract extends to the weighted path
         order = np.lexsort((w, dst, src))
         self.src, self.dst, self.w = src[order], dst[order], w[order]
-        self.wout = np.zeros(len(self.verts), np.float64)
-        if len(self.src):
-            np.add.at(self.wout,
-                      np.searchsorted(self.verts, self.src), self.w)
         self._src_pos = np.searchsorted(self.verts, self.src)
-        own = _pr_owner(self.dst, self.B)
-        self._dest_idx = [np.flatnonzero(own == j) for j in range(self.B)]
+        self.wout = np.zeros(len(self.verts), self.DTYPE)
+        np.add.at(self.wout, self._src_pos, self.w)
+        self._dest_idx = self._dest_index(self.dst)
         return len(self.verts)
+
+    def dangling_sum(self):
+        # over the sorted vertex order; .item() gives a Python float/int
+        return self.rank[self.wout == 0].sum().item()
+
+    def _result(self):
+        return (self.rank,)
+
+
+@ray.remote(num_cpus=0)
+class _PRShard(_PRKernel):
+    """Float PageRank kernel (bit-deterministic per the
+    :class:`~logray.functions.vertexshard.VertexShard` contract)."""
 
     def init_ranks(self, n_total: int, p_ref=None) -> float:
         """Set the teleport vector (uniform, or the personalization
         masses restricted to this shard's verts) and start rank = p.
         Returns this shard's share of the p mass actually present so
         the driver can renormalize."""
-        self.N = n_total
         if p_ref is None:
             self.p = np.full(len(self.verts), 1.0 / n_total, np.float64)
             self.rank = self.p.copy()
@@ -300,138 +262,34 @@ class _PRShard:
         self.p = self.p * inv_total
         self.rank = self.p.copy()
 
-    def dangling_sum(self) -> float:
-        if not len(self.verts):
-            return 0.0
-        return float(self.rank[self.wout == 0.0].sum())
-
     def emit(self):
         """Per-destination-shard (dst ids, contributions) in the fixed
         build order."""
-        if len(self.src):
-            contrib = (self.rank[self._src_pos] * self.w
-                       / self.wout[self._src_pos])
-        else:
-            contrib = np.zeros(0, np.float64)
-        out = [(self.dst[idx], contrib[idx]) for idx in self._dest_idx]
-        return out if self.B > 1 else out[0]
+        contrib = (self.rank[self._src_pos] * self.w
+                   / self.wout[self._src_pos])
+        return self._send((self._dest_idx, self.dst, contrib))
 
     def apply(self, damping: float, dangling_total: float, *msgs) -> int:
-        recv = np.zeros(len(self.verts), np.float64)
-        for v, c in msgs:
-            if len(v):
-                np.add.at(recv, np.searchsorted(self.verts, v), c)
+        recv = self._fold(np.zeros(len(self.verts), np.float64), msgs)
         self.rank = ((1.0 - damping) * self.p
                      + damping * dangling_total * self.p
                      + damping * recv)
         return 0
 
-    def ranks_table(self, node_col: str) -> pa.Table:
-        if not len(self.verts):
-            return pa.schema([(node_col, pa.int64()),
-                              ("rank", pa.float64())]).empty_table()
-        return pa.table({node_col: pa.array(self.verts),
-                         "rank": pa.array(self.rank)})
 
-    def edge_count(self) -> int:
-        return len(self.src)
+def _pr_routes(src: str, dst: str, weight_col: str | None, wtype):
+    """PageRank push: out-edges (+ weights cast to ``wtype``) to
+    owner(src), distinct dst ids to owner(dst)."""
 
-    def dump_state(self, path: str) -> int:
-        return _dump_shard_state(
-            path, {"node": self.verts, "rank": self.rank})
+    def routes(t: pa.Table):
+        s = _to_int64(t[src])
+        d = _to_int64(t[dst])
+        cols = (s, d) if weight_col is None else (
+            s, d, _to_numpy(t[weight_col], wtype))
+        nodes = np.unique(d)
+        return [("edges", s, cols), ("nodes", nodes, (nodes,))]
 
-    def load_state(self, path: str) -> int:
-        t = _load_shard_state(path, self.verts)
-        self.rank = t["rank"].to_numpy().astype(np.float64)
-        return len(self.verts)
-
-
-def _dump_shard_state(path: str, cols: dict) -> int:
-    """Atomic per-shard checkpoint write (tmp + rename)."""
-    import os
-
-    import pyarrow.parquet as pq
-
-    t = pa.table({k: pa.array(v) for k, v in cols.items()})
-    tmp = f"{path}.{os.getpid()}.tmp"
-    pq.write_table(t, tmp)
-    os.replace(tmp, path)
-    return t.num_rows
-
-
-def _load_shard_state(path: str, verts: np.ndarray) -> pa.Table:
-    """Read a shard checkpoint and refuse if its vertex set is not
-    exactly this shard's — the graph or num_shards changed under the
-    checkpoint."""
-    import pyarrow.parquet as pq
-
-    t = pq.read_table(path)
-    nodes = t["node"].to_numpy(zero_copy_only=False)
-    if not np.array_equal(nodes, verts):
-        raise ValueError(
-            "graph checkpoint shard vertex set mismatch — the edge "
-            "input or num_shards changed since the checkpoint was "
-            "written; delete the checkpoint dir to start clean")
-    return t
-
-
-def _ckpt_open(ckpt_dir: str, plan: dict, n_iter: int,
-               checkpoint_every: int = 1):
-    """Open (or create) an iterative-job checkpoint dir: refuse if the
-    recorded plan differs (same contract as the dedup chains), return
-    ``(manifest, start_iter)`` where start_iter is the newest committed
-    iteration <= n_iter.  ``n_iter`` itself is deliberately NOT part of
-    the plan hash — rank-at-iteration-i is well-defined independent of
-    how far the run intends to go, so a resumed run may extend or
-    shorten the iteration count.  ``checkpoint_every`` is validated
-    HERE, before the expensive edge push, for every caller: 0 would
-    ZeroDivisionError at the first commit check, a negative value would
-    silently never snapshot."""
-    if checkpoint_every < 1:
-        raise ValueError(
-            f"checkpoint_every must be >= 1, got {checkpoint_every}")
-    from logray.state.manifest import RunManifest, check_run_config
-
-    check_run_config(ckpt_dir, plan)
-    man = RunManifest(ckpt_dir)
-    done = [int(pid.split("-", 1)[1]) for pid in man.entries()
-            if pid.startswith("iter-")]
-    start = max((i for i in done if i <= n_iter), default=0)
-    return man, start
-
-
-def _ckpt_commit(man, i: int, shards, extra: dict) -> None:
-    """Per-iteration checkpoint: every shard dumps its state parquet
-    into the partition dir (atomic per file), THEN the manifest commits
-    — a crash mid-dump leaves no manifest and the iteration reruns."""
-    import os
-
-    pid = f"iter-{i:05d}"
-    pdir = man.partition_dir(pid)
-    os.makedirs(pdir, exist_ok=True)
-    rows = ray.get([s.dump_state.remote(
-        os.path.join(pdir, f"shard-{j}.parquet"))
-        for j, s in enumerate(shards)])
-    man.record(pid, {"iteration": i, "rows": int(sum(rows)), **extra})
-
-
-def _ckpt_load(man, i: int, shards, expect: dict) -> None:
-    """Scatter the iteration-``i`` checkpoint back into the shard
-    actors (each shard reads exactly its own file — partitioning is
-    owner-hash, pinned by the plan's num_shards)."""
-    import os
-
-    pid = f"iter-{i:05d}"
-    meta = man.entries()[pid]
-    for k, v in expect.items():
-        if meta.get(k) != v:
-            raise ValueError(
-                f"graph checkpoint {k} mismatch (checkpoint "
-                f"{meta.get(k)}, rebuilt graph {v}) — the edge input "
-                "changed; delete the checkpoint dir")
-    pdir = man.partition_dir(pid)
-    ray.get([s.load_state.remote(os.path.join(pdir, f"shard-{j}.parquet"))
-             for j, s in enumerate(shards)])
+    return routes
 
 
 def _plan_personalization(personalization):
@@ -473,7 +331,7 @@ def pagerank(edges, src: str = "src", dst: str = "dst",
     of 16-24 bytes/edge); each of the ``n_iter`` iterations then moves
     only per-edge float contributions between shards and B dangling
     scalars to the driver — the edge list itself never moves again.
-    Bit-deterministic under any input partitioning (see ``_PRShard``;
+    Bit-deterministic under any input partitioning (see ``VertexShard``;
     weights join the edge sort key).  Fixed ``n_iter`` rather than a
     tolerance so the output is a pure function of the arguments.
 
@@ -488,97 +346,44 @@ def pagerank(edges, src: str = "src", dst: str = "dst",
     changed edge input fails loudly instead of skewing ranks.
     ``_fault(phase, i)`` is a test-only crash-injection hook.
     """
-    B = num_shards
-    man = None
-    start = 0
-    if checkpoint is not None:
-        man, start = _ckpt_open(checkpoint, {
-            "algo": "pagerank", "src": src, "dst": dst,
-            "node_col": node_col, "damping": damping,
-            "num_shards": B, "weight_col": weight_col,
-            "personalization": _plan_personalization(personalization),
-        }, n_iter, checkpoint_every)
-    shards = [_PRShard.remote(i, B) for i in range(B)]  # type: ignore[attr-defined]
-
-    def push(t: pa.Table) -> pa.Table:
-        s = _to_int64(t[src])
-        d = _to_int64(t[dst])
-        w = None
-        if weight_col is not None:
-            wc = t[weight_col]
-            if isinstance(wc, pa.ChunkedArray):
-                wc = wc.combine_chunks()
-            w = pc.cast(wc, pa.float64()).to_numpy(zero_copy_only=False)
-        own_s = _pr_owner(s, B)
-        own_d = _pr_owner(d, B)
-        acks = []
-        for j in range(B):
-            m = own_s == j
-            if m.any():
-                acks.append(shards[j].add_edges.remote(
-                    s[m], d[m], w[m] if w is not None else None))
-            md = own_d == j
-            if md.any():
-                acks.append(shards[j].add_nodes.remote(np.unique(d[md])))
-        ray.get(acks)
-        return pa.table({"n": pa.array([len(s)], pa.int64())})
-
-    # max_retries=0: add_edges is a non-idempotent actor side effect — a
-    # transparently retried push task would double that batch's edges and
-    # silently skew ranks.  Fail loudly instead; the job restarts clean.
-    edges.map_batches(push, batch_format="pyarrow",
-                      max_retries=0).materialize()
-    counts = ray.get([s.build.remote() for s in shards])
-    n_total = int(sum(counts))
-    if n_total == 0:
-        import ray.data as rd
-        return rd.from_arrow(pa.schema(
-            [(node_col, pa.int64()), ("rank", pa.float64())]).empty_table())
-    if personalization is None:
-        ray.get([s.init_ranks.remote(n_total) for s in shards])
-    else:
-        if isinstance(personalization, dict):
-            items = sorted(personalization.items())
-            nodes = np.array([k for k, _ in items], np.int64)
-            masses = np.array([v for _, v in items], np.float64)
-            if (masses < 0).any():
-                raise ValueError("pagerank: negative personalization mass")
+    with ShardRun(_PRShard, num_shards) as run:
+        if checkpoint is not None:
+            run.open_checkpoint(checkpoint, {
+                "algo": "pagerank", "src": src, "dst": dst,
+                "node_col": node_col, "damping": damping,
+                "num_shards": num_shards, "weight_col": weight_col,
+                "personalization": _plan_personalization(personalization),
+            }, n_iter, checkpoint_every)
+        run.push(edges, _pr_routes(src, dst, weight_col, pa.float64()))
+        n_total = run.build(weight_col is not None)
+        if n_total == 0:
+            return run.collect(node_col)
+        if personalization is None:
+            run.call("init_ranks", n_total)
         else:
-            nodes = np.unique(np.asarray(list(personalization), np.int64))
-            masses = np.ones(len(nodes), np.float64)
-        p_ref = ray.put((nodes, masses))
-        present = sum(ray.get(
-            [s.init_ranks.remote(n_total, p_ref) for s in shards]))
-        if present <= 0.0:
-            raise ValueError(
-                "pagerank: no personalization seed is present in the graph")
-        ray.get([s.scale_p.remote(1.0 / present) for s in shards])
+            if isinstance(personalization, dict):
+                items = sorted(personalization.items())
+                nodes = np.array([k for k, _ in items], np.int64)
+                masses = np.array([v for _, v in items], np.float64)
+                if (masses < 0).any():
+                    raise ValueError("pagerank: negative personalization mass")
+            else:
+                nodes = np.unique(np.asarray(list(personalization), np.int64))
+                masses = np.ones(len(nodes), np.float64)
+            present = sum(run.call("init_ranks", n_total,
+                                   ray.put((nodes, masses))))
+            if present <= 0.0:
+                raise ValueError("pagerank: no personalization seed is "
+                                 "present in the graph")
+            run.call("scale_p", 1.0 / present)
 
-    meta = None
-    if man is not None:
-        meta = {"n_total": n_total, "edges": int(sum(ray.get(
-            [s.edge_count.remote() for s in shards])))}
-        if start:
-            _ckpt_load(man, start, shards, meta)
-    for it in range(start, n_iter):
-        if _fault is not None:
-            _fault("iter", it)
-        dang = sum(ray.get([s.dangling_sum.remote() for s in shards]))
-        outs = [s.emit.options(num_returns=B).remote() if B > 1
-                else [s.emit.remote()] for s in shards]
-        ray.get([shards[j].apply.remote(
-            damping, dang, *[outs[i][j] for i in range(B)])
-            for j in range(B)])
-        done = it + 1
-        if man is not None and (done % checkpoint_every == 0
-                                or done == n_iter):
-            _ckpt_commit(man, done, shards, meta)
-
-    import ray.data as rd
-
-    out = rd.from_arrow_refs(
-        [s.ranks_table.remote(node_col) for s in shards])
-    return out.materialize()
+        for it in range(run.resume(), n_iter):
+            if _fault is not None:
+                _fault("iter", it)
+            dang = sum(run.call("dangling_sum"))
+            run.exchange("emit", "apply", damping, dang)
+            run.commit(it + 1, it + 1 == n_iter)
+        return run.collect(node_col)
 
 
 # ---------------------------------------------------------------------------
@@ -620,66 +425,22 @@ def _fp_mul_div(x: np.int64 | int, p: np.ndarray) -> np.ndarray:
 
 
 @ray.remote(num_cpus=0)
-class _PRIntShard:
-    """One hash partition of the fixed-point PageRank state.  Mirrors
-    ``_PRShard`` (same ``_pr_owner`` partitioning, same push-once CSR
-    residency) with int64 arithmetic throughout; no fold-order care is
+class _PRIntShard(_PRKernel):
+    """Fixed-point PageRank kernel: the float kernel's build and
+    partitioning with int64 arithmetic throughout; no fold-order care is
     needed because integer sums are exact."""
 
-    def __init__(self, shard_id: int, num_shards: int):
-        self.id = shard_id
-        self.B = num_shards
-        self._src_parts: list[np.ndarray] = []
-        self._dst_parts: list[np.ndarray] = []
-        self._w_parts: list[np.ndarray] = []
-        self._node_parts: list[np.ndarray] = []
+    DTYPE = np.int64
+    NAME = "pagerank_fixedpoint"
 
-    def add_edges(self, src: np.ndarray, dst: np.ndarray,
-                  w: np.ndarray | None = None) -> int:
-        self._src_parts.append(np.asarray(src, np.int64))
-        self._dst_parts.append(np.asarray(dst, np.int64))
-        self._w_parts.append(
-            np.asarray(w, np.int64) if w is not None
-            else np.ones(len(src), np.int64))
-        return len(src)
-
-    def add_nodes(self, v: np.ndarray) -> int:
-        self._node_parts.append(np.asarray(v, np.int64))
-        return len(v)
-
-    def build(self) -> int:
-        src = (np.concatenate(self._src_parts) if self._src_parts
-               else np.zeros(0, np.int64))
-        dst = (np.concatenate(self._dst_parts) if self._dst_parts
-               else np.zeros(0, np.int64))
-        w = (np.concatenate(self._w_parts) if self._w_parts
-             else np.zeros(0, np.int64))
-        reg = (np.concatenate(self._node_parts) if self._node_parts
-               else np.zeros(0, np.int64))
-        self._src_parts = []
-        self._dst_parts = []
-        self._w_parts = []
-        self._node_parts = []
-        if (w < 0).any():
-            raise ValueError("pagerank_fixedpoint: negative edge weight")
-        self.verts = np.unique(np.concatenate([src, reg]))
-        keep = w > 0  # zero-weight edges drop; their src stays dangling
-        src, dst, w = src[keep], dst[keep], w[keep]
-        order = np.lexsort((dst, src))  # locality only — int math is
-        self.src, self.dst, self.w = src[order], dst[order], w[order]
-        self.wout = np.zeros(len(self.verts), np.int64)  # exact anyway
-        if len(self.src):
-            np.add.at(self.wout,
-                      np.searchsorted(self.verts, self.src), self.w)
+    def build(self, weighted: bool) -> int:
+        n = super().build(weighted)
         if (self.wout >= _PR_MAX_OUTW).any():
             raise ValueError(
                 "pagerank_fixedpoint: a node's total out-weight exceeds "
                 "2^31; the int64 emission needs W^2 < 2^63 — rescale the "
                 "weight units (e.g. dollars instead of cents) and rerun")
-        self._src_pos = np.searchsorted(self.verts, self.src)
-        own = _pr_owner(self.dst, self.B)
-        self._dest_idx = [np.flatnonzero(own == j) for j in range(self.B)]
-        return len(self.verts)
+        return n
 
     def seeds_present(self, seeds: np.ndarray) -> int:
         pos = np.searchsorted(self.verts, seeds)
@@ -701,56 +462,27 @@ class _PRIntShard:
         self.rank = self.p.copy()
         return 0
 
-    def dangling_sum(self) -> int:
-        if not len(self.verts):
-            return 0
-        return int(self.rank[self.wout == 0].sum())
-
     def emit(self):
-        if len(self.src):
-            rk = self.rank[self._src_pos]
-            tw = self.wout[self._src_pos]
-            q, r = np.divmod(rk, tw)
-            # q*w <= (rk/W)*W = rk <= PR_SCALE; r*w < W^2 < 2^63: exact
-            contrib = q * self.w + (r * self.w) // tw
-        else:
-            contrib = np.zeros(0, np.int64)
-        out = [(self.dst[idx], contrib[idx]) for idx in self._dest_idx]
-        return out if self.B > 1 else out[0]
+        rk = self.rank[self._src_pos]
+        tw = self.wout[self._src_pos]
+        q, r = np.divmod(rk, tw)
+        # q*w <= (rk/W)*W = rk <= PR_SCALE; r*w < W^2 < 2^63: exact
+        contrib = q * self.w + (r * self.w) // tw
+        return self._send((self._dest_idx, self.dst, contrib))
 
     def apply(self, dnum: int, dden: int, dangling_total: int, *msgs
               ) -> int:
-        recv = np.zeros(len(self.verts), np.int64)
-        for v, c in msgs:
-            if len(v):
-                np.add.at(recv, np.searchsorted(self.verts, v), c)
+        recv = self._fold(np.zeros(len(self.verts), np.int64), msgs)
         dang_p = _fp_mul_div(dangling_total, self.p)
         self.rank = (((dden - dnum) * self.p) // dden
                      + (dnum * (dang_p + recv)) // dden)
         return 0
 
-    def ranks_table(self, node_col: str) -> pa.Table:
-        if not len(self.verts):
-            return pa.schema([(node_col, pa.int64()),
-                              ("rank", pa.float64())]).empty_table()
+    def _result(self):
         # int64 / 1e12: both operands exactly representable as doubles
         # (< 2^53), one correctly-rounded division — any IEEE-754 engine
         # (numpy here, DuckDB in the twin) produces the identical bits
-        return pa.table({node_col: pa.array(self.verts),
-                         "rank": pa.array(self.rank / float(PR_SCALE))})
-
-    def edge_count(self) -> int:
-        return len(self.src)
-
-    def dump_state(self, path: str) -> int:
-        return _dump_shard_state(
-            path, {"node": self.verts, "rank": self.rank})
-
-    def load_state(self, path: str) -> int:
-        t = _load_shard_state(path, self.verts)
-        self.rank = t["rank"].to_numpy(zero_copy_only=False).astype(
-            np.int64)
-        return len(self.verts)
+        return (self.rank / float(PR_SCALE),)
 
 
 def pagerank_fixedpoint(edges, src: str = "src", dst: str = "dst",
@@ -806,81 +538,37 @@ def pagerank_fixedpoint(edges, src: str = "src", dst: str = "dst",
             "pagerank_fixedpoint: damping_den too large — need "
             f"den * {2 * PR_SCALE} < 2^63 (den <= "
             f"{((1 << 63) - 1) // (2 * PR_SCALE)}); reduce the fraction")
-    B = num_shards
-    man = None
-    start = 0
-    if checkpoint is not None:
-        # same checkpoint protocol as pagerank() — see its docstring
-        man, start = _ckpt_open(checkpoint, {
-            "algo": "pagerank_fixedpoint", "src": src, "dst": dst,
-            "node_col": node_col, "damping_num": damping_num,
-            "damping_den": damping_den, "num_shards": B,
-            "weight_col": weight_col,
-            "personalization": _plan_personalization(personalization),
-        }, n_iter, checkpoint_every)
-    shards = [_PRIntShard.remote(i, B) for i in range(B)]  # type: ignore[attr-defined]
+    with ShardRun(_PRIntShard, num_shards) as run:
+        if checkpoint is not None:
+            # same checkpoint protocol as pagerank() — see its docstring
+            run.open_checkpoint(checkpoint, {
+                "algo": "pagerank_fixedpoint", "src": src, "dst": dst,
+                "node_col": node_col, "damping_num": damping_num,
+                "damping_den": damping_den, "num_shards": num_shards,
+                "weight_col": weight_col,
+                "personalization": _plan_personalization(personalization),
+            }, n_iter, checkpoint_every)
+        run.push(edges, _pr_routes(src, dst, weight_col, pa.int64()))
+        n_total = run.build(weight_col is not None)
+        if n_total == 0:
+            return run.collect(node_col)
+        if personalization is None:
+            run.call("init_ranks", n_total)
+        else:
+            seeds = np.unique(np.asarray(list(personalization), np.int64))
+            present = sum(run.call("seeds_present", seeds))
+            if present <= 0:
+                raise ValueError("pagerank_fixedpoint: no personalization "
+                                 "seed is present in the graph")
+            run.call("init_ranks", n_total, present)
 
-    def push(t: pa.Table) -> pa.Table:
-        s = _to_int64(t[src])
-        d = _to_int64(t[dst])
-        w = _to_int64(t[weight_col]) if weight_col is not None else None
-        own_s = _pr_owner(s, B)
-        own_d = _pr_owner(d, B)
-        acks = []
-        for j in range(B):
-            m = own_s == j
-            if m.any():
-                acks.append(shards[j].add_edges.remote(
-                    s[m], d[m], w[m] if w is not None else None))
-            md = own_d == j
-            if md.any():
-                acks.append(shards[j].add_nodes.remote(np.unique(d[md])))
-        ray.get(acks)
-        return pa.table({"n": pa.array([len(s)], pa.int64())})
-
-    # max_retries=0: same non-idempotent-push rationale as pagerank().
-    edges.map_batches(push, batch_format="pyarrow",
-                      max_retries=0).materialize()
-    counts = ray.get([s.build.remote() for s in shards])
-    n_total = int(sum(counts))
-    import ray.data as rd
-    if n_total == 0:
-        return rd.from_arrow(pa.schema(
-            [(node_col, pa.int64()), ("rank", pa.float64())]).empty_table())
-    if personalization is None:
-        ray.get([s.init_ranks.remote(n_total) for s in shards])
-    else:
-        seeds = np.unique(np.asarray(list(personalization), np.int64))
-        present = sum(ray.get(
-            [s.seeds_present.remote(seeds) for s in shards]))
-        if present <= 0:
-            raise ValueError("pagerank_fixedpoint: no personalization "
-                             "seed is present in the graph")
-        ray.get([s.init_ranks.remote(n_total, present) for s in shards])
-
-    meta = None
-    if man is not None:
-        meta = {"n_total": n_total, "edges": int(sum(ray.get(
-            [s.edge_count.remote() for s in shards])))}
-        if start:
-            _ckpt_load(man, start, shards, meta)
-    for it in range(start, n_iter):
-        if _fault is not None:
-            _fault("iter", it)
-        dang = sum(ray.get([s.dangling_sum.remote() for s in shards]))
-        outs = [s.emit.options(num_returns=B).remote() if B > 1
-                else [s.emit.remote()] for s in shards]
-        ray.get([shards[j].apply.remote(
-            damping_num, damping_den, dang, *[outs[i][j] for i in range(B)])
-            for j in range(B)])
-        done = it + 1
-        if man is not None and (done % checkpoint_every == 0
-                                or done == n_iter):
-            _ckpt_commit(man, done, shards, meta)
-
-    out = rd.from_arrow_refs(
-        [s.ranks_table.remote(node_col) for s in shards])
-    return out.materialize()
+        for it in range(run.resume(), n_iter):
+            if _fault is not None:
+                _fault("iter", it)
+            dang = sum(run.call("dangling_sum"))
+            run.exchange("emit", "apply", damping_num, damping_den, dang)
+            run.commit(it + 1, it + 1 == n_iter)
+        return run.collect(node_col)
 
 
 def pagerank_fixedpoint_sql(edges_sql: str, node_col: str = "node",
@@ -1306,120 +994,95 @@ def anchor_text_sql(table: str, dst: str = "dst", anchor: str = "anchor",
 # HITS hubs & authorities (Kleinberg 1999)
 # ---------------------------------------------------------------------------
 
-@ray.remote(num_cpus=0)
-class _HitsShard:
-    """One hash partition of the HITS state.  Each edge (u, v) is stored
-    TWICE — as an out-edge at owner(u) and an in-edge at owner(v) — so
-    both half-steps read local edges and exchange only float messages:
+class _HitsKernel(VertexShard):
+    """HITS shard state shared by the float and int64 kernels.  Each
+    edge (u, v) is stored TWICE — as an out-edge at owner(u) and an
+    in-edge at owner(v) — so both half-steps read local edges and
+    exchange only per-edge messages:
 
         authority: a(v) = sum_{u->v} h(u)   (out-copies emit to owner(v))
         hub:       h(u) = sum_{u->v} a(v)   (in-copies  emit to owner(u))
 
-    Same bit-determinism scheme as ``_PRShard``: edges lexsorted at
-    build, message slices preserve that order, receivers fold sender
-    shards 0..B-1 sequentially, and the L2 normalizer sums shard
-    partials in shard order on the driver.
-    """
+    Out-copies are lexsorted (src, dst) and in-copies (dst, src) at
+    build, the fixed order the float kernel's folds rely on."""
 
-    def __init__(self, shard_id: int, num_shards: int):
-        self.B = num_shards
-        self._out: list[tuple[np.ndarray, np.ndarray]] = []
-        self._in: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def add_out(self, src, dst) -> int:
-        self._out.append((np.asarray(src, np.int64),
-                          np.asarray(dst, np.int64)))
-        return len(src)
-
-    def add_in(self, src, dst) -> int:
-        self._in.append((np.asarray(src, np.int64),
-                         np.asarray(dst, np.int64)))
-        return len(src)
+    STATE = ("hub", "auth")
+    RESULT = (("hub", pa.float64()), ("authority", pa.float64()))
 
     def build(self) -> int:
-        def cat(parts, j):
-            return (np.concatenate([p[j] for p in parts]) if parts
-                    else np.zeros(0, np.int64))
-
-        osrc, odst = cat(self._out, 0), cat(self._out, 1)
-        isrc, idst = cat(self._in, 0), cat(self._in, 1)
-        self._out = []
-        self._in = []
-        oo = np.lexsort((odst, osrc))
-        self.osrc, self.odst = osrc[oo], odst[oo]
-        io = np.lexsort((isrc, idst))
-        self.isrc, self.idst = isrc[io], idst[io]
+        self.src, self.dst = self._sorted_edges(
+            *self._take("out", np.int64, np.int64))
+        self.idst, self.isrc = self._sorted_edges(
+            *self._take("in", np.int64, np.int64)[::-1])
         # this shard OWNS the union of its out-srcs and in-dsts
-        self.verts = np.unique(np.concatenate([osrc, idst]))
-        self._osrc_pos = np.searchsorted(self.verts, self.osrc)
+        self.verts = np.unique(np.concatenate([self.src, self.idst]))
+        self._src_pos = np.searchsorted(self.verts, self.src)
         self._idst_pos = np.searchsorted(self.verts, self.idst)
-        own_od = _pr_owner(self.odst, self.B)
-        self._od_idx = [np.flatnonzero(own_od == j) for j in range(self.B)]
-        own_is = _pr_owner(self.isrc, self.B)
-        self._is_idx = [np.flatnonzero(own_is == j) for j in range(self.B)]
+        self._od_idx = self._dest_index(self.dst)
+        self._is_idx = self._dest_index(self.isrc)
         return len(self.verts)
+
+    def emit_auth(self):
+        """(dst, h(src)) messages for the authority half-step."""
+        return self._send((self._od_idx, self.dst,
+                           self.hub[self._src_pos]))
+
+    def apply_auth(self, *msgs):
+        self.auth = self._fold(np.zeros(len(self.verts), self.DTYPE), msgs)
+        return self._total(self.auth)
+
+    def emit_hub(self):
+        """(src, a(dst)) messages for the hub half-step."""
+        return self._send((self._is_idx, self.isrc,
+                           self.auth[self._idst_pos]))
+
+    def apply_hub(self, *msgs):
+        self.hub = self._fold(np.zeros(len(self.verts), self.DTYPE), msgs)
+        return self._total(self.hub)
+
+
+@ray.remote(num_cpus=0)
+class _HitsShard(_HitsKernel):
+    """Float HITS kernel: each half-step returns this shard's sum of
+    squares, and the driver sums the shard partials in shard order for
+    the L2 normalizer (bit-deterministic per the
+    :class:`~logray.functions.vertexshard.VertexShard` contract)."""
 
     def init_scores(self) -> None:
         n = len(self.verts)
         self.hub = np.ones(n, np.float64)
         self.auth = np.ones(n, np.float64)
 
-    def emit_auth(self):
-        """(dst, h(src)) messages for the authority half-step."""
-        c = (self.hub[self._osrc_pos] if len(self.osrc)
-             else np.zeros(0, np.float64))
-        out = [(self.odst[i], c[i]) for i in self._od_idx]
-        return out if self.B > 1 else out[0]
-
-    def apply_auth(self, *msgs) -> float:
-        a = np.zeros(len(self.verts), np.float64)
-        for v, c in msgs:
-            if len(v):
-                np.add.at(a, np.searchsorted(self.verts, v), c)
-        self.auth = a
-        return float(np.square(a).sum())
-
-    def emit_hub(self):
-        """(src, a(dst)) messages for the hub half-step."""
-        c = (self.auth[self._idst_pos] if len(self.idst)
-             else np.zeros(0, np.float64))
-        out = [(self.isrc[i], c[i]) for i in self._is_idx]
-        return out if self.B > 1 else out[0]
-
-    def apply_hub(self, *msgs) -> float:
-        h = np.zeros(len(self.verts), np.float64)
-        for v, c in msgs:
-            if len(v):
-                np.add.at(h, np.searchsorted(self.verts, v), c)
-        self.hub = h
-        return float(np.square(h).sum())
+    @staticmethod
+    def _total(x: np.ndarray) -> float:
+        return float(np.square(x).sum())
 
     def scale(self, inv_a: float, inv_h: float) -> None:
         self.auth = self.auth * inv_a
         self.hub = self.hub * inv_h
 
-    def scores_table(self, node_col: str) -> pa.Table:
-        if not len(self.verts):
-            return pa.schema([(node_col, pa.int64()),
-                              ("hub", pa.float64()),
-                              ("authority", pa.float64())]).empty_table()
-        return pa.table({node_col: pa.array(self.verts),
-                         "hub": pa.array(self.hub),
-                         "authority": pa.array(self.auth)})
+    def _result(self):
+        return (self.hub, self.auth)
 
-    def edge_count(self) -> int:
-        return len(self.osrc)
 
-    def dump_state(self, path: str) -> int:
-        return _dump_shard_state(
-            path, {"node": self.verts, "hub": self.hub,
-                   "auth": self.auth})
+def _hits_routes(src: str, dst: str, distinct: bool):
+    """HITS push: every edge to owner(src) as an out-copy and to
+    owner(dst) as an in-copy."""
 
-    def load_state(self, path: str) -> int:
-        t = _load_shard_state(path, self.verts)
-        self.hub = t["hub"].to_numpy().astype(np.float64)
-        self.auth = t["auth"].to_numpy().astype(np.float64)
-        return len(self.verts)
+    def routes(t: pa.Table):
+        s = _to_int64(t[src])
+        d = _to_int64(t[dst])
+        if distinct:
+            # per-batch dedup before the wire: the recursion runs over
+            # the DISTINCT edge set (the shards dedup again at build),
+            # so parallel edges within a batch are pure push traffic
+            tb = pa.table({"s": pa.array(s), "d": pa.array(d)})
+            tb = tb.group_by(["s", "d"]).aggregate([])
+            s = tb["s"].to_numpy(zero_copy_only=False)
+            d = tb["d"].to_numpy(zero_copy_only=False)
+        return [("out", s, (s, d)), ("in", d, (s, d))]
+
+    return routes
 
 
 def hits(edges, src: str = "src", dst: str = "dst",
@@ -1439,75 +1102,25 @@ def hits(edges, src: str = "src", dst: str = "dst",
     per-iteration snapshot-and-resume protocol as :func:`pagerank`
     (both score vectors snapshot together, post-normalization).
     """
-    B = num_shards
-    man = None
-    start = 0
-    if checkpoint is not None:
-        man, start = _ckpt_open(checkpoint, {
-            "algo": "hits", "src": src, "dst": dst,
-            "node_col": node_col, "num_shards": B,
-        }, n_iter, checkpoint_every)
-    shards = [_HitsShard.remote(i, B) for i in range(B)]  # type: ignore[attr-defined]
+    with ShardRun(_HitsShard, num_shards) as run:
+        if checkpoint is not None:
+            run.open_checkpoint(checkpoint, {
+                "algo": "hits", "src": src, "dst": dst,
+                "node_col": node_col, "num_shards": num_shards,
+            }, n_iter, checkpoint_every)
+        run.push(edges, _hits_routes(src, dst, distinct=False))
+        if run.build() == 0:
+            return run.collect(node_col)
+        run.call("init_scores")
 
-    def push(t: pa.Table) -> pa.Table:
-        s = _to_int64(t[src])
-        d = _to_int64(t[dst])
-        own_s = _pr_owner(s, B)
-        own_d = _pr_owner(d, B)
-        acks = []
-        for j in range(B):
-            m = own_s == j
-            if m.any():
-                acks.append(shards[j].add_out.remote(s[m], d[m]))
-            md = own_d == j
-            if md.any():
-                acks.append(shards[j].add_in.remote(s[md], d[md]))
-        ray.get(acks)
-        return pa.table({"n": pa.array([len(s)], pa.int64())})
-
-    # max_retries=0: same non-idempotent-push rationale as pagerank().
-    edges.map_batches(push, batch_format="pyarrow",
-                      max_retries=0).materialize()
-    counts = ray.get([s.build.remote() for s in shards])
-    if sum(counts) == 0:
-        import ray.data as rd
-        return rd.from_arrow(pa.schema(
-            [(node_col, pa.int64()), ("hub", pa.float64()),
-             ("authority", pa.float64())]).empty_table())
-    ray.get([s.init_scores.remote() for s in shards])
-
-    n_total = int(sum(counts))
-    meta = None
-    if man is not None:
-        meta = {"n_total": n_total, "edges": int(sum(ray.get(
-            [s.edge_count.remote() for s in shards])))}
-        if start:
-            _ckpt_load(man, start, shards, meta)
-    for it in range(start, n_iter):
-        if _fault is not None:
-            _fault("iter", it)
-        outs = [s.emit_auth.options(num_returns=B).remote() if B > 1
-                else [s.emit_auth.remote()] for s in shards]
-        a_sq = ray.get([shards[j].apply_auth.remote(
-            *[outs[i][j] for i in range(B)]) for j in range(B)])
-        outs = [s.emit_hub.options(num_returns=B).remote() if B > 1
-                else [s.emit_hub.remote()] for s in shards]
-        h_sq = ray.get([shards[j].apply_hub.remote(
-            *[outs[i][j] for i in range(B)]) for j in range(B)])
-        na, nh = float(np.sqrt(sum(a_sq))), float(np.sqrt(sum(h_sq)))
-        ray.get([s.scale.remote(1.0 / na if na else 0.0,
-                                1.0 / nh if nh else 0.0)
-                 for s in shards])
-        done = it + 1
-        if man is not None and (done % checkpoint_every == 0
-                                or done == n_iter):
-            _ckpt_commit(man, done, shards, meta)
-
-    import ray.data as rd
-
-    out = rd.from_arrow_refs(
-        [s.scores_table.remote(node_col) for s in shards])
-    return out.materialize()
+        for it in range(run.resume(), n_iter):
+            if _fault is not None:
+                _fault("iter", it)
+            na = float(np.sqrt(sum(run.exchange("emit_auth", "apply_auth"))))
+            nh = float(np.sqrt(sum(run.exchange("emit_hub", "apply_hub"))))
+            run.call("scale", 1.0 / na if na else 0.0, 1.0 / nh if nh else 0.0)
+            run.commit(it + 1, it + 1 == n_iter)
+        return run.collect(node_col)
 
 
 def _exact_i64_sum(arr: np.ndarray) -> int:
@@ -1515,130 +1128,36 @@ def _exact_i64_sum(arr: np.ndarray) -> int:
     ``arr.sum()`` silently wraps past 2^63 (values <= 1e12 overflow it
     at ~9.2M elements); splitting at 2^32 keeps both partial sums exact
     for any realistic shard size."""
-    if not len(arr):
-        return 0
     q, r = np.divmod(arr, np.int64(1) << 32)
     return (int(q.sum()) << 32) + int(r.sum())
 
 
 @ray.remote(num_cpus=0)
-class _HitsIntShard:
-    """One hash partition of the fixed-point HITS state.  Mirrors
-    ``_HitsShard`` (edges stored twice — out-copies at owner(src),
-    in-copies at owner(dst)) with int64 arithmetic throughout; integer
-    sums are exactly associative, so no fold-order care is needed.
-    Edges dedupe to the DISTINCT (src, dst) set at build — the bound
-    ``raw(v) <= sum(scores) <= PR_SCALE`` that keeps every element in
-    int64 needs multiplicity-free sums (and the SQL twin's
-    ``SELECT DISTINCT`` is definitionally the same set)."""
+class _HitsIntShard(_HitsKernel):
+    """Fixed-point HITS kernel: the float kernel's edge layout with int64
+    arithmetic throughout; integer sums are exactly associative, so no
+    fold-order care is needed.  Edges dedupe to the DISTINCT (src, dst)
+    set at build — the bound ``raw(v) <= sum(scores) <= PR_SCALE`` that
+    keeps every element in int64 needs multiplicity-free sums (and the
+    SQL twin's ``SELECT DISTINCT`` is definitionally the same set)."""
 
-    def __init__(self, shard_id: int, num_shards: int):
-        self.B = num_shards
-        self._out: list[tuple[np.ndarray, np.ndarray]] = []
-        self._in: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def add_out(self, src, dst) -> int:
-        self._out.append((np.asarray(src, np.int64),
-                          np.asarray(dst, np.int64)))
-        return len(src)
-
-    def add_in(self, src, dst) -> int:
-        self._in.append((np.asarray(src, np.int64),
-                         np.asarray(dst, np.int64)))
-        return len(src)
-
-    def build(self) -> int:
-        def cat(parts, j):
-            return (np.concatenate([p[j] for p in parts]) if parts
-                    else np.zeros(0, np.int64))
-
-        def dedup(a, b):
-            if not len(a):
-                return a, b
-            o = np.lexsort((b, a))
-            a, b = a[o], b[o]
-            first = np.r_[True, (a[1:] != a[:-1]) | (b[1:] != b[:-1])]
-            return a[first], b[first]
-
-        self.osrc, self.odst = dedup(cat(self._out, 0), cat(self._out, 1))
-        self.isrc, self.idst = dedup(cat(self._in, 0), cat(self._in, 1))
-        self._out = []
-        self._in = []
-        self.verts = np.unique(np.concatenate([self.osrc, self.idst]))
-        self._osrc_pos = np.searchsorted(self.verts, self.osrc)
-        self._idst_pos = np.searchsorted(self.verts, self.idst)
-        own_od = _pr_owner(self.odst, self.B)
-        self._od_idx = [np.flatnonzero(own_od == j) for j in range(self.B)]
-        own_is = _pr_owner(self.isrc, self.B)
-        self._is_idx = [np.flatnonzero(own_is == j) for j in range(self.B)]
-        return len(self.verts)
+    DTYPE = np.int64
+    DISTINCT_EDGES = True
+    _total = staticmethod(_exact_i64_sum)
 
     def init_scores(self, n_total: int) -> None:
         n = len(self.verts)
         self.hub = np.full(n, PR_SCALE // n_total, np.int64)
         self.auth = np.zeros(n, np.int64)
 
-    def emit_auth(self):
-        c = (self.hub[self._osrc_pos] if len(self.osrc)
-             else np.zeros(0, np.int64))
-        out = [(self.odst[i], c[i]) for i in self._od_idx]
-        return out if self.B > 1 else out[0]
+    def floor_div(self, name: str, d: int) -> None:
+        setattr(self, name, getattr(self, name) // np.int64(d))
 
-    def apply_auth(self, *msgs) -> int:
-        a = np.zeros(len(self.verts), np.int64)
-        for v, c in msgs:
-            if len(v):
-                np.add.at(a, np.searchsorted(self.verts, v), c)
-        self.auth = a
-        return _exact_i64_sum(a)
-
-    def scale_auth(self, d: int) -> None:
-        self.auth = self.auth // np.int64(d)
-
-    def emit_hub(self):
-        c = (self.auth[self._idst_pos] if len(self.idst)
-             else np.zeros(0, np.int64))
-        out = [(self.isrc[i], c[i]) for i in self._is_idx]
-        return out if self.B > 1 else out[0]
-
-    def apply_hub(self, *msgs) -> int:
-        h = np.zeros(len(self.verts), np.int64)
-        for v, c in msgs:
-            if len(v):
-                np.add.at(h, np.searchsorted(self.verts, v), c)
-        self.hub = h
-        return _exact_i64_sum(h)
-
-    def scale_hub(self, d: int) -> None:
-        self.hub = self.hub // np.int64(d)
-
-    def scores_table(self, node_col: str) -> pa.Table:
-        if not len(self.verts):
-            return pa.schema([(node_col, pa.int64()),
-                              ("hub", pa.float64()),
-                              ("authority", pa.float64())]).empty_table()
+    def _result(self):
         # int64 / 1e12: both operands < 2^53, one correctly-rounded
         # division — identical bits on any IEEE-754 engine (see
-        # _PRIntShard.ranks_table)
-        return pa.table({node_col: pa.array(self.verts),
-                         "hub": pa.array(self.hub / float(PR_SCALE)),
-                         "authority": pa.array(
-                             self.auth / float(PR_SCALE))})
-
-    def edge_count(self) -> int:
-        return len(self.osrc)
-
-    def dump_state(self, path: str) -> int:
-        return _dump_shard_state(
-            path, {"node": self.verts, "hub": self.hub,
-                   "auth": self.auth})
-
-    def load_state(self, path: str) -> int:
-        t = _load_shard_state(path, self.verts)
-        self.hub = t["hub"].to_numpy(zero_copy_only=False).astype(np.int64)
-        self.auth = t["auth"].to_numpy(zero_copy_only=False).astype(
-            np.int64)
-        return len(self.verts)
+        # _PRIntShard._result)
+        return (self.hub / float(PR_SCALE), self.auth / float(PR_SCALE))
 
 
 def hits_fixedpoint(edges, src: str = "src", dst: str = "dst",
@@ -1678,79 +1197,27 @@ def hits_fixedpoint(edges, src: str = "src", dst: str = "dst",
     per-iteration snapshot-and-resume protocol as :func:`pagerank`.
     """
     S = PR_SCALE
-    B = num_shards
-    man = None
-    start = 0
-    if checkpoint is not None:
-        man, start = _ckpt_open(checkpoint, {
-            "algo": "hits_fixedpoint", "src": src, "dst": dst,
-            "node_col": node_col, "num_shards": B,
-        }, n_iter, checkpoint_every)
-    shards = [_HitsIntShard.remote(i, B) for i in range(B)]  # type: ignore[attr-defined]
+    with ShardRun(_HitsIntShard, num_shards) as run:
+        if checkpoint is not None:
+            run.open_checkpoint(checkpoint, {
+                "algo": "hits_fixedpoint", "src": src, "dst": dst,
+                "node_col": node_col, "num_shards": num_shards,
+            }, n_iter, checkpoint_every)
+        run.push(edges, _hits_routes(src, dst, distinct=True))
+        n_total = run.build()
+        if n_total == 0:
+            return run.collect(node_col)
+        run.call("init_scores", n_total)
 
-    def push(t: pa.Table) -> pa.Table:
-        # per-batch dedup before the wire: the recursion runs over the
-        # DISTINCT edge set (the shards dedup again at build), so
-        # parallel edges within a batch are pure push traffic
-        tb = pa.table({"s": pa.array(_to_int64(t[src])),
-                       "d": pa.array(_to_int64(t[dst]))})
-        tb = tb.group_by(["s", "d"]).aggregate([])
-        s = tb["s"].to_numpy(zero_copy_only=False)
-        d = tb["d"].to_numpy(zero_copy_only=False)
-        own_s = _pr_owner(s, B)
-        own_d = _pr_owner(d, B)
-        acks = []
-        for j in range(B):
-            m = own_s == j
-            if m.any():
-                acks.append(shards[j].add_out.remote(s[m], d[m]))
-            md = own_d == j
-            if md.any():
-                acks.append(shards[j].add_in.remote(s[md], d[md]))
-        ray.get(acks)
-        return pa.table({"n": pa.array([len(s)], pa.int64())})
-
-    # max_retries=0: same non-idempotent-push rationale as pagerank().
-    edges.map_batches(push, batch_format="pyarrow",
-                      max_retries=0).materialize()
-    counts = ray.get([s.build.remote() for s in shards])
-    n_total = int(sum(counts))
-    import ray.data as rd
-    if n_total == 0:
-        return rd.from_arrow(pa.schema(
-            [(node_col, pa.int64()), ("hub", pa.float64()),
-             ("authority", pa.float64())]).empty_table())
-    ray.get([s.init_scores.remote(n_total) for s in shards])
-
-    meta = None
-    if man is not None:
-        meta = {"n_total": n_total, "edges": int(sum(ray.get(
-            [s.edge_count.remote() for s in shards])))}
-        if start:
-            _ckpt_load(man, start, shards, meta)
-    for it in range(start, n_iter):
-        if _fault is not None:
-            _fault("iter", it)
-        outs = [s.emit_auth.options(num_returns=B).remote() if B > 1
-                else [s.emit_auth.remote()] for s in shards]
-        ta = sum(ray.get([shards[j].apply_auth.remote(
-            *[outs[i][j] for i in range(B)]) for j in range(B)]))
-        ray.get([s.scale_auth.remote(max(1, -(-ta // S)))
-                 for s in shards])
-        outs = [s.emit_hub.options(num_returns=B).remote() if B > 1
-                else [s.emit_hub.remote()] for s in shards]
-        th = sum(ray.get([shards[j].apply_hub.remote(
-            *[outs[i][j] for i in range(B)]) for j in range(B)]))
-        ray.get([s.scale_hub.remote(max(1, -(-th // S)))
-                 for s in shards])
-        done = it + 1
-        if man is not None and (done % checkpoint_every == 0
-                                or done == n_iter):
-            _ckpt_commit(man, done, shards, meta)
-
-    out = rd.from_arrow_refs(
-        [s.scores_table.remote(node_col) for s in shards])
-    return out.materialize()
+        for it in range(run.resume(), n_iter):
+            if _fault is not None:
+                _fault("iter", it)
+            ta = sum(run.exchange("emit_auth", "apply_auth"))
+            run.call("floor_div", "auth", max(1, -(-ta // S)))
+            th = sum(run.exchange("emit_hub", "apply_hub"))
+            run.call("floor_div", "hub", max(1, -(-th // S)))
+            run.commit(it + 1, it + 1 == n_iter)
+        return run.collect(node_col)
 
 
 def hits_fixedpoint_sql(edges_sql: str, node_col: str = "node",

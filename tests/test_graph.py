@@ -170,14 +170,6 @@ def test_pagerank_star_hub_ranks_highest(ray_session):
     assert got.loc[0, "rank"] == got["rank"].max()
 
 
-def test_pagerank_empty(ray_session):
-    from logray.functions.graph import pagerank
-
-    out = pagerank(_edges_ds([], []), num_shards=2)
-    assert out.schema().names == ["node", "rank"]
-    assert out.count() == 0
-
-
 # ---------------------------------------------------------------------------
 # triangle counting
 # ---------------------------------------------------------------------------
@@ -825,19 +817,46 @@ def test_pagerank_fixedpoint_guards(ray_session):
     with pytest.raises(ValueError, match="no personalization seed"):
         pagerank_fixedpoint(_edges_ds([1, 2], [2, 3]),
                             personalization=[99], num_shards=2)
-    # empty edges -> empty typed result
-    import ray.data as rd
-
-    empty = rd.from_arrow(pa.table({"src": pa.array([], pa.int64()),
-                                    "dst": pa.array([], pa.int64())}))
-    out = pagerank_fixedpoint(empty, num_shards=2)
-    assert out.count() == 0
-    assert out.schema().names == ["node", "rank"]
 
 
 # ---------------------------------------------------------------------------
 # checkpoint-resume for iterative graph jobs
 # ---------------------------------------------------------------------------
+
+# the five entry points on the sharded vertex-state engine, with the
+# result columns each returns
+_ENGINES = {
+    "pagerank": ["node", "rank"],
+    "pagerank_fixedpoint": ["node", "rank"],
+    "hits": ["node", "hub", "authority"],
+    "hits_fixedpoint": ["node", "hub", "authority"],
+    "connected_components_graph": ["node", "component"],
+}
+
+
+@pytest.mark.parametrize("algo,num_shards", [
+    (a, 2) for a in _ENGINES] + [("hits_fixedpoint", 8)])  # 8 = default
+def test_graph_engine_empty_input(ray_session, algo, num_shards):
+    """Empty edges -> empty result with the typed schema."""
+    import logray.functions.graph as G
+
+    out = getattr(G, algo)(_edges_ds([], []), num_shards=num_shards)
+    assert out.count() == 0
+    assert out.schema().names == _ENGINES[algo]
+
+
+@pytest.mark.parametrize("algo", _ENGINES)
+def test_graph_engine_rejects_num_shards_below_one(ray_session, algo):
+    """No shard would receive an edge: refuse instead of answering with
+    zero rows (under dedup_keep_min(distributed=True) that would keep
+    every duplicate)."""
+    import logray.functions.graph as G
+
+    for b in (0, -2):
+        with pytest.raises(ValueError, match="num_shards must be >= 1"):
+            getattr(G, algo)(_edges_ds([0, 1, 2, 3], [1, 2, 3, 0]),
+                             num_shards=b)
+
 
 class _Boom(RuntimeError):
     pass
@@ -911,17 +930,24 @@ def test_graph_checkpoint_refuses_changed_plan(ray_session, tmp_path):
     assert (got["rank"].to_numpy() == want["rank"].to_numpy()).all()
 
 
-def test_graph_checkpoint_refuses_changed_edges(ray_session, tmp_path):
+@pytest.mark.parametrize("algo", _ENGINES)
+def test_graph_checkpoint_refuses_changed_edges(ray_session, tmp_path,
+                                                algo):
     """A checkpoint written for one edge multiset must not silently
     seed a different graph."""
-    from logray.functions.graph import pagerank
+    import logray.functions.graph as G
 
+    run = getattr(G, algo)
+    iters = ({} if algo == "connected_components_graph"
+             else {"n_iter": 2})
     src, dst = _rand_graph(23, 20, 100)
-    ck = str(tmp_path / "pr2")
-    pagerank(_edges_ds(src, dst), n_iter=2, num_shards=2, checkpoint=ck)
+    ck = str(tmp_path / algo)
+    run(_edges_ds(src, dst), num_shards=2, checkpoint=ck, **iters)
+    if iters:
+        iters["n_iter"] = 4
     with pytest.raises(ValueError, match="mismatch"):
-        pagerank(_edges_ds(src[:50], dst[:50]), n_iter=4, num_shards=2,
-                 checkpoint=ck)
+        run(_edges_ds(src[:50], dst[:50]), num_shards=2, checkpoint=ck,
+            **iters)
 
 
 # ---------------------------------------------------------------------------
@@ -996,18 +1022,6 @@ def test_hits_fixedpoint_star_semantics(ray_session):
     assert (leaves["hub"].to_numpy() == 0.0).all()
     assert leaves["authority"].nunique() == 1
     assert (leaves["authority"] > 0).all()
-
-
-def test_hits_fixedpoint_empty(ray_session):
-    import ray.data as rd
-
-    from logray.functions.graph import hits_fixedpoint
-
-    empty = rd.from_arrow(pa.table({"src": pa.array([], pa.int64()),
-                                    "dst": pa.array([], pa.int64())}))
-    out = hits_fixedpoint(empty)
-    assert out.count() == 0
-    assert out.schema().names == ["node", "hub", "authority"]
 
 
 def test_kcore_sql_twin_matches(ray_session):
@@ -1150,6 +1164,64 @@ def test_cc_checkpoint_resumes_across_partitioning(ray_session, tmp_path):
     assert (g["component"].to_numpy() == b["component"].to_numpy()).all()
 
 
+# ---------------------------------------------------------------------------
+# output bits pinned: the float engines are only compared to dense
+# references within a tolerance elsewhere, so a change that reorders a
+# float fold would pass every other test — these hashes catch it
+# ---------------------------------------------------------------------------
+
+_GOLDEN_BITS = {  # sha256 prefixes of the sorted output columns
+    "pagerank-1": "691bf94cee2c1af0",
+    "pagerank-3": "8d2db36b5fa233c1",
+    "pagerank_weighted-1": "8657e1729be469d8",
+    "pagerank_weighted-3": "dca3aab9c19b5563",
+    "pagerank_personalized-1": "668b50dd66ec8fba",
+    "pagerank_personalized-3": "3b6602bfcf626c67",
+    "hits-1": "bbc47196b1101f39",
+    "hits-3": "eb14ccdb0a94e0a8",
+    "connected_components_graph-3": "98120c32a9bee23f",
+    "pagerank_fixedpoint-3": "501c8a03c2e0f39b",
+    "hits_fixedpoint-3": "4c72def812b27686",
+}
+
+
+def _golden_run(case: str, num_shards: int):
+    import ray.data as rd
+
+    import logray.functions.graph as G
+
+    src, dst = _rand_graph(81, 30, 200)
+    w = np.random.default_rng(82).random(len(src))
+    w[::17] = 0.0  # zero-weight edges drop, their src stays a vertex
+    kw = {"num_shards": num_shards}
+    if case == "pagerank":
+        return G.pagerank(_edges_ds(src, dst), **kw)
+    if case == "pagerank_weighted":
+        return G.pagerank(rd.from_arrow(pa.table({
+            "src": pa.array(src), "dst": pa.array(dst),
+            "weight": pa.array(w)})), weight_col="weight", **kw)
+    if case == "pagerank_personalized":
+        return G.pagerank(_edges_ds(src, dst), **kw, personalization={
+            0: 3.0, 5: 1.0, 11: 0.25, 99999: 7.0})
+    return getattr(G, case)(_edges_ds(src, dst), **kw)
+
+
+@pytest.mark.parametrize("case,num_shards", [
+    (c, b) for c in ("pagerank", "pagerank_weighted",
+                     "pagerank_personalized", "hits") for b in (1, 3)
+] + [(c, 3) for c in ("connected_components_graph", "pagerank_fixedpoint",
+                      "hits_fixedpoint")])
+def test_graph_output_bits_pinned(ray_session, case, num_shards):
+    import hashlib
+
+    df = _golden_run(case, num_shards).to_pandas()
+    df = df.sort_values("node").reset_index(drop=True)
+    h = hashlib.sha256(df["node"].to_numpy(np.int64).tobytes())
+    for c in df.columns[1:]:
+        h.update(df[c].to_numpy().tobytes())
+    assert h.hexdigest()[:16] == _GOLDEN_BITS[f"{case}-{num_shards}"]
+
+
 def test_graph_checkpoint_every_validated(ray_session, tmp_path):
     from logray.functions.graph import pagerank
 
@@ -1167,3 +1239,17 @@ def test_pagerank_fixedpoint_damping_den_guard(ray_session):
         pagerank_fixedpoint(_edges_ds(src, dst),
                             damping_num=85_000_000,
                             damping_den=100_000_000)
+
+
+def test_graph_push_retry_policy():
+    """A replayed push batch is a no-op only on the kernels that keep the
+    distinct edge set (CC, fixed-point HITS), so only their push keeps
+    Ray's default retries; the multiset kernels push with
+    max_retries=0."""
+    from logray.functions.dedup import _CCShard
+    from logray.functions.graph import (_HitsIntShard, _HitsShard,
+                                        _PRIntShard, _PRShard)
+
+    assert _CCShard.DISTINCT_EDGES and _HitsIntShard.DISTINCT_EDGES
+    assert not any(k.DISTINCT_EDGES
+                   for k in (_PRShard, _PRIntShard, _HitsShard))
