@@ -92,7 +92,7 @@ def collocation_counts(ds, text_col: str = "text", min_count: int = 2,
     with a pruned ``is_in`` pass.  Nothing wider than the vocabulary
     census ever moves.
     """
-    from logray.stages.bucketing import bucket_tagger
+    from logray.stages.bucketing import grouped_apply
 
     def fold(t: pa.Table) -> pa.Table:
         g = t.group_by("key").aggregate([("n", "sum")])
@@ -100,16 +100,12 @@ def collocation_counts(ds, text_col: str = "text", min_count: int = 2,
 
     # census fold: ONE hash%B int-key shuffle (a string-key groupby sorts
     # the whole vocab and measured ~6x slower) + a vectorized Arrow
-    # group-sum per bucket; bucket_tagger is the shared assignment every
+    # group-sum per bucket; grouped_apply is the shared exchange every
     # bucketed operator uses
-    census = (
+    census = grouped_apply(
         ds.map_batches(_census_partial(text_col, lower),
-                       batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(bucket_tagger("key", 32), batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(fold, batch_format="pyarrow")
-        .materialize()
-    )
+                       batch_format="pyarrow", zero_copy_batch=True),
+        "key", fold, num_buckets=32, batch_format="pyarrow").materialize()
 
     is_bigram = lambda t: pc.match_substring(t["key"], " ")  # noqa: E731
 
@@ -255,7 +251,7 @@ def lexical_diversity(ds, text_col: str = "text", key_col: str = "source"):
             "n": pc.cast(census["token_count"], pa.int64()),
         })
 
-    from logray.stages.bucketing import bucket_tagger
+    from logray.stages.bucketing import grouped_apply
 
     def bucket_fold(t: pa.Table) -> pa.Table:
         # bucket = hash(token): every (key, token) group is whole within
@@ -281,13 +277,10 @@ def lexical_diversity(ds, text_col: str = "text", key_col: str = "source"):
             "n_hapax": g["hap_sum"],
         })
 
-    parts = (
-        ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True)
-        .map_batches(bucket_tagger("token", 32), batch_format="pyarrow")
-        .groupby("__b")
-        .map_groups(bucket_fold, batch_format="pyarrow")
-        .take_all()
-    )
+    parts = grouped_apply(
+        ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True),
+        "token", bucket_fold, num_buckets=32, batch_format="pyarrow",
+    ).take_all()
     import pandas as pd
 
     df = pd.DataFrame(parts, columns=[key_col, "n_tokens", "n_types", "n_hapax"])

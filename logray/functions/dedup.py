@@ -49,6 +49,7 @@ from logray.functions.fingerprint import (
     simhash,
 )
 from logray.functions.vertexshard import ShardRun, VertexShard
+from logray.stages.bucketing import BUCKET_COL, bucket_exchange
 
 # ---------------------------------------------------------------------------
 # exact dedup
@@ -73,7 +74,8 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
     def add_hash_and_local_dedup(t: pa.Table) -> pa.Table:
         h = content_hash(t[text_col])
         t = t.append_column("__h", pa.array(h.astype(np.int64)))
-        t = t.append_column("__b", pa.array((h % np.uint64(num_buckets)).astype(np.int64)))
+        t = t.append_column(BUCKET_COL, pa.array(
+            (h % np.uint64(num_buckets)).astype(np.int64)))
         # Arrow-native local pre-dedup: min id per (hash, text), then keep
         # those rows via is_in on the (unique) id — no pandas conversion of
         # the full-corpus text column in this hot map
@@ -86,12 +88,11 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
             ["__h", text_col], keep="first"
         )
 
-    out = (
-        ds.map_batches(add_hash_and_local_dedup, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(keep_first, batch_format="pandas")
-    )
-    return out.drop_columns(["__h", "__b"])
+    out = bucket_exchange(
+        ds.map_batches(add_hash_and_local_dedup, batch_format="pyarrow",
+                       zero_copy_batch=True),
+        keep_first)
+    return out.drop_columns(["__h"])
 
 
 # ---------------------------------------------------------------------------
@@ -228,16 +229,14 @@ def _distinct_pairs(pairs, num_buckets: int = 64):
         a = pd.util.hash_array(np.asarray(t["id_a"].to_numpy(zero_copy_only=False))).astype(np.uint64)
         b = pd.util.hash_array(np.asarray(t["id_b"].to_numpy(zero_copy_only=False))).astype(np.uint64)
         h = (a * np.uint64(1000003) + b * np.uint64(0x9E3779B97F4A7C15)) % np.uint64(num_buckets)
-        return t.append_column("__pb", pa.array(h.astype(np.int64)))
+        return t.append_column(BUCKET_COL, pa.array(h.astype(np.int64)))
 
     def dedup_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["id_a", "id_b"]).drop(columns="__pb")
+        return g.drop_duplicates(["id_a", "id_b"])
 
-    return (
-        pairs.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__pb")
-        .map_groups(dedup_bucket, batch_format="pandas")
-    )
+    return bucket_exchange(
+        pairs.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True),
+        dedup_bucket)
 
 
 def connected_components(pairs, id_a: str = "id_a", id_b: str = "id_b") -> pd.DataFrame:

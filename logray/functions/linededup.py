@@ -51,7 +51,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from logray.functions.fingerprint import content_hash
-from logray.stages.bucketing import bucket_of, bucket_tagger, run_starts
+from logray.stages.bucketing import (BUCKET_COL, bucket_exchange, bucket_of,
+                                     grouped_apply, run_starts)
 
 __all__ = ["dedup_lines", "dedup_lines_sql"]
 
@@ -115,27 +116,21 @@ def _dedup_dense(lines, id_col: str, text_col: str, min_len: int, sep: str,
             "__dd", pa.array(np.zeros(rest.num_rows, np.bool_)))
         t = pa.concat_tables([cand, rest])
         b = bucket_of(t["line"].to_numpy(zero_copy_only=False), num_buckets)
-        return t.append_column("__b", pa.array(b))
+        return t.append_column(BUCKET_COL, pa.array(b))
 
     def keep_winner(g: pd.DataFrame) -> pd.DataFrame:
         cand = g[g["__dd"]]
         kept = cand.sort_values(
             [id_col, "line_idx"], kind="mergesort"
         ).drop_duplicates("line", keep="first")
-        return pd.concat([kept, g[~g["__dd"]]]).drop(columns=["__b", "__dd"])
+        return pd.concat([kept, g[~g["__dd"]]]).drop(columns="__dd")
 
-    survivors = (
+    survivors = bucket_exchange(
         lines.map_batches(combine_and_tag, batch_format="pyarrow",
-                          zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(keep_winner, batch_format="pandas")
-    )
-    return (
-        survivors.map_batches(bucket_tagger(id_col, num_buckets),
-                              batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(_rejoin_fn(id_col, text_col, sep), batch_format="pandas")
-    )
+                          zero_copy_batch=True),
+        keep_winner)
+    return grouped_apply(survivors, id_col, _rejoin_fn(id_col, text_col, sep),
+                         num_buckets=num_buckets)
 
 
 def _long_line_hashes(t: pa.Table, min_len: int) -> np.ndarray:
@@ -176,9 +171,9 @@ def _dedup_sparse(ds, lines, contested: np.ndarray, id_col: str,
             hit = np.zeros(len(h), np.bool_)
         t = t.filter(pa.array(long & hit))
         if t.num_rows == 0:
-            return t.append_column("__b", pa.array([], pa.int64()))
+            return t.append_column(BUCKET_COL, pa.array([], pa.int64()))
         b = bucket_of(t["line"].to_numpy(zero_copy_only=False), num_buckets)
-        return t.append_column("__b", pa.array(b))
+        return t.append_column(BUCKET_COL, pa.array(b))
 
     def winner_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([id_col, "line_idx"], kind="mergesort")
@@ -189,12 +184,10 @@ def _dedup_sparse(ds, lines, contested: np.ndarray, id_col: str,
             "__kept": kept.to_numpy(),
         })
 
-    verdicts = (
+    verdicts = bucket_exchange(
         lines.map_batches(tag_contested, batch_format="pyarrow",
-                          zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(winner_bucket, batch_format="pandas")
-    ).materialize()
+                          zero_copy_batch=True),
+        winner_bucket).materialize()
 
     losers = verdicts.filter(expr="__kept == False")
     # unique() yields None on an empty dataset (no contested losers)
@@ -264,16 +257,11 @@ def _dedup_sparse(ds, lines, contested: np.ndarray, id_col: str,
             key_dead = pd.MultiIndex.from_arrays(
                 [dead[id_col], dead["line_idx"]])
             live = live[~key_live.isin(key_dead)]
-        live = live.drop(columns=["__dead", "__b"])
+        live = live.drop(columns="__dead")
         return _rejoin_fn(id_col, text_col, sep)(live)
 
-    reassembled = (
-        alines.union(tombs)
-        .map_batches(bucket_tagger(id_col, num_buckets),
-                     batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(drop_dead_and_rejoin, batch_format="pandas")
-    )
+    reassembled = grouped_apply(alines.union(tombs), id_col,
+                                drop_dead_and_rejoin, num_buckets=num_buckets)
     return untouched.union(reassembled)
 
 
@@ -307,7 +295,7 @@ def dedup_lines(ds, id_col: str = "doc_id", text_col: str = "text",
         return pd.DataFrame({
             "h": u.view(np.int64),
             "c": c.astype(np.int64),
-            "__b": bucket_of(u.view(np.int64), 256),
+            BUCKET_COL: bucket_of(u.view(np.int64), 256),
         })
 
     def contested_bucket(g: pd.DataFrame) -> pd.DataFrame:
@@ -319,12 +307,10 @@ def dedup_lines(ds, id_col: str = "doc_id", text_col: str = "text",
             "is_total": np.append(np.zeros(len(out), np.bool_), True),
         })
 
-    stats = (
+    stats = bucket_exchange(
         lines.map_batches(hash_part, batch_format="pyarrow",
-                          zero_copy_batch=True, batch_size=None)
-        .groupby("__b")
-        .map_groups(contested_bucket, batch_format="pandas")
-    ).to_pandas()
+                          zero_copy_batch=True, batch_size=None),
+        contested_bucket).to_pandas()
     total_long = int(stats.loc[stats.is_total, "cnt"].sum())
     cdf = stats[~stats.is_total]
     contested_rows = int(cdf["cnt"].sum())

@@ -83,20 +83,21 @@ def reservoir_per_key(ds, key: str, n: int, id_col: str, seed: int = 0,
     bottom-n for ALL its keys with one vectorized groupby-head (never one
     Ray group per key)."""
 
+    from logray.stages.bucketing import BUCKET_COL, bucket_exchange, bucket_of
+
     def partial(df: pd.DataFrame) -> pd.DataFrame:
         df = df.assign(__h=_det_hash(df[id_col].to_numpy(), seed))
-        from logray.stages.bucketing import bucket_of
-
-        df = df.assign(__b=bucket_of(df[key].to_numpy(), num_buckets))
+        df = df.assign(**{BUCKET_COL: bucket_of(df[key].to_numpy(),
+                                                num_buckets)})
         df = df.sort_values(["__h", id_col], kind="mergesort")
         return df.groupby(key, sort=False).head(n)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values(["__h", id_col], kind="mergesort")
-        return g.groupby(key, sort=False).head(n).drop(columns=["__h", "__b"])
+        return g.groupby(key, sort=False).head(n).drop(columns="__h")
 
     pre = ds.map_batches(partial, batch_format="pandas", batch_size=batch_size)
-    return pre.groupby("__b").map_groups(per_bucket, batch_format="pandas")
+    return bucket_exchange(pre, per_bucket)
 
 
 def reservoir_per_key_sql(table: str, key: str, n: int, id_col: str,
@@ -392,7 +393,7 @@ def budget_sample(ds, key: str, id_col: str, weight_col: str, budget: int,
     membership depends only on (key, id, weight)."""
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        cols = [c for c in g.columns if c != "__b"]
+        cols = list(g.columns)
         w_np = g[weight_col].to_numpy()
         if len(w_np) and not np.issubdtype(w_np.dtype, np.integer):
             raise TypeError(
@@ -410,14 +411,9 @@ def budget_sample(ds, key: str, id_col: str, weight_col: str, budget: int,
         keep = (cum - base) <= budget
         return g.loc[keep, cols]
 
-    from logray.stages.bucketing import bucket_tagger
+    from logray.stages.bucketing import grouped_apply
 
-    return (
-        ds.map_batches(bucket_tagger(key, num_buckets),
-                       batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return grouped_apply(ds, key, per_bucket, num_buckets=num_buckets)
 
 
 def budget_sample_sql(table: str, key: str, id_col: str, weight_col: str,

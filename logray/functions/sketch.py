@@ -274,7 +274,7 @@ def approx_quantiles_grouped(ds, key_col: str, value_col: str, qs,
     requested quantile (``0.5 -> q50``)."""
     import pandas as pd
 
-    from logray.stages.bucketing import bucket_tagger
+    from logray.stages.bucketing import grouped_apply
 
     qs = list(qs)
     qnames = [f"q{round(q * 100):d}" for q in qs]
@@ -314,12 +314,7 @@ def approx_quantiles_grouped(ds, key_col: str, value_col: str, qs,
                 out[n].append(acc.quantile(q))
         return pd.DataFrame(out)
 
-    return (
-        parts.map_batches(bucket_tagger(key_col, num_buckets),
-                          batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return grouped_apply(parts, key_col, per_bucket, num_buckets=num_buckets)
 
 
 def approx_distinct_per_key(ds, key: str, col: str, p: int = 12,

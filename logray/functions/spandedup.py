@@ -44,7 +44,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from logray.functions.fingerprint import content_hash
-from logray.stages.bucketing import bucket_tagger
+from logray.stages.bucketing import grouped_apply
 
 __all__ = ["dedup_spans", "dedup_spans_sql",
            "dedup_spans_bytes", "dedup_spans_bytes_sql"]
@@ -151,15 +151,11 @@ def dedup_spans(ds, id_col: str = "doc_id", text_col: str = "text",
     if window < 2:
         raise ValueError("window must be >= 2")
 
-    census = (
+    census = grouped_apply(
         ds.map_batches(_census_fn(id_col, text_col, window),
                        batch_format="pyarrow", zero_copy_batch=True,
-                       batch_size=None)
-        .map_batches(bucket_tagger("h1", num_buckets), batch_format="pyarrow",
-                     zero_copy_batch=True, batch_size=None)
-        .groupby("__b")
-        .map_groups(_dup_bucket, batch_format="pandas")
-    )
+                       batch_size=None),
+        "h1", _dup_bucket, num_buckets=num_buckets)
     cdf = census.to_pandas()
     # an all-short corpus yields a columnless empty frame, not an empty
     # h1 column
@@ -347,14 +343,10 @@ def dedup_spans_bytes(ds, id_col: str = "doc_id", text_col: str = "text",
         raise ValueError("window must be >= 2")
 
     census_part = _census_bytes_fn(id_col, text_col, window)
-    census = (
+    census = grouped_apply(
         ds.map_batches(census_part, batch_format="pyarrow",
-                       zero_copy_batch=True, batch_size=None)
-        .map_batches(bucket_tagger("h1", num_buckets), batch_format="pyarrow",
-                     zero_copy_batch=True, batch_size=None)
-        .groupby("__b")
-        .map_groups(_dup_bucket, batch_format="pandas")
-    )
+                       zero_copy_batch=True, batch_size=None),
+        "h1", _dup_bucket, num_buckets=num_buckets)
     cdf = census.to_pandas()
     dup = cdf["h1"].to_numpy() if "h1" in cdf.columns \
         else np.zeros(0, np.int64)

@@ -176,20 +176,16 @@ def assign_turn_idx(ds, num_buckets: int = 64):
     consumer.  Partitioning assumption: one bucket's rows fit a worker
     (raise ``num_buckets`` with corpus size; a single pathological
     conversation bounds the minimum at its own size)."""
-    from logray.stages.bucketing import bucket_tagger
+    from logray.stages.bucketing import grouped_apply
 
     def per_bucket(t: pa.Table) -> pa.Table:
-        t = t.drop_columns(["__b"]).combine_chunks()
+        t = t.combine_chunks()
         t = t.sort_by([("conv_id", "ascending"), ("ts", "ascending"),
                        ("event_id", "ascending")])
         return _segmented_turn_idx(t, 0)
 
-    return (
-        ds.map_batches(bucket_tagger("conv_id", num_buckets),
-                       batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pyarrow")
-    )
+    return grouped_apply(ds, "conv_id", per_bucket, num_buckets=num_buckets,
+                         batch_format="pyarrow")
 
 
 def assign_turn_idx_sorted(ds):

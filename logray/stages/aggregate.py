@@ -759,10 +759,9 @@ def grouped_quantiles(ds, key: str, col: str, qs, num_buckets: int = 32):
     per key.  Returns a Dataset (key, q, value)."""
     import math
 
-    from logray.stages.bucketing import bucket_tagger
+    from logray.stages.bucketing import grouped_apply
 
     qs = list(qs)
-    tag = bucket_tagger(key, num_buckets)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         # quantile_disc ignores nulls: drop before positions are computed
@@ -795,11 +794,7 @@ def grouped_quantiles(ds, key: str, col: str, qs, num_buckets: int = 32):
             ))
         return pd.concat(outs, ignore_index=True)
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return grouped_apply(ds, key, per_bucket, num_buckets=num_buckets)
 
 
 def topk_per_key(ds, key: str, order_col: str, k: int, descending: bool = True,
@@ -820,17 +815,15 @@ def topk_per_key(ds, key: str, order_col: str, k: int, descending: bool = True,
         df = df.sort_values(order, ascending=asc, kind="mergesort")
         return df.groupby(key, sort=False).head(k)
 
-    from logray.stages.bucketing import bucket_of
+    from logray.stages.bucketing import BUCKET_COL, bucket_exchange, bucket_of
 
     def partial(df):
         df = local_topk(df)
-        return df.assign(__b=bucket_of(df[key].to_numpy(), num_buckets))
-
-    def per_bucket(g):
-        return local_topk(g).drop(columns="__b")
+        return df.assign(**{BUCKET_COL: bucket_of(df[key].to_numpy(),
+                                                  num_buckets)})
 
     pre = ds.map_batches(partial, batch_format="pandas", batch_size=None)
-    return pre.groupby("__b").map_groups(per_bucket, batch_format="pandas")
+    return bucket_exchange(pre, local_topk)
 
 
 def topk_per_key_sql(table: str, key: str, order_col: str, k: int,
@@ -1124,7 +1117,7 @@ def distinct_count_per_key(ds, key: str, val: str, num_buckets: int = 32,
     vectorized per-bucket nunique (group count is num_buckets, never the
     key cardinality).  Null vals are not counted (SQL COUNT semantics);
     null keys pool into one group."""
-    from logray.stages.bucketing import bucket_tagger
+    from logray.stages.bucketing import grouped_apply
 
     def local_dedup(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_valid(t[val]))
@@ -1136,14 +1129,10 @@ def distinct_count_per_key(ds, key: str, val: str, num_buckets: int = 32,
         return pd.DataFrame({key: s.index.to_numpy(),
                              "n_distinct": s.to_numpy().astype(np.int64)})
 
-    out = (
+    out = grouped_apply(
         ds.map_batches(local_dedup, batch_format="pyarrow",
-                       zero_copy_batch=True, batch_size=None)
-        .map_batches(bucket_tagger(key, num_buckets), batch_format="pyarrow",
-                     zero_copy_batch=True, batch_size=None)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+                       zero_copy_batch=True, batch_size=None),
+        key, per_bucket, num_buckets=num_buckets)
     return out.to_pandas() if as_pandas else out
 
 
@@ -1236,16 +1225,12 @@ def mode_per_key(ds, key: str, val: str, num_buckets: int = 32,
                              "mode_val": out[val].to_numpy(),
                              "n": out["count_all"].to_numpy().astype(np.int64)})
 
-    from logray.stages.bucketing import bucket_tagger
+    from logray.stages.bucketing import grouped_apply
 
-    out = (
+    out = grouped_apply(
         ds.map_batches(local_counts, batch_format="pyarrow",
-                       zero_copy_batch=True, batch_size=None)
-        .map_batches(bucket_tagger(key, num_buckets), batch_format="pyarrow",
-                     zero_copy_batch=True, batch_size=None)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+                       zero_copy_batch=True, batch_size=None),
+        key, per_bucket, num_buckets=num_buckets)
     return out.to_pandas() if as_pandas else out
 
 

@@ -4,6 +4,12 @@
   behind every bucketed-group operator (sessionize, turn_context,
   fold_dialogues, grouped_quantiles, asof_join, ...).  One definition, so
   a change to the partitioning hash reaches every operator at once.
+- :func:`bucket_exchange` — the ONE bucket shuffle: co-locate the rows of
+  each :data:`BUCKET_COL` value and call ``fn`` once per bucket, with the
+  tag column already stripped.  Every hash-bucket shuffle in logray runs
+  through it (:func:`grouped_apply` is tagger + exchange; operators with
+  their own bucket id write :data:`BUCKET_COL` and call it directly), so
+  the shuffle strategy is set here and nowhere else.
 - :func:`stream_fold` — the bounded-memory driver fold: stream partial
   batches, re-fold whenever the pending buffer passes ``max_pending_rows``
   (memory stays O(distinct keys), the pull overlaps distributed
@@ -22,6 +28,9 @@ import pyarrow as pa
 # half-finished run under a different assignment silently corrupts it
 # (state/manifest.py::check_run_config compares this marker)
 HASH_VERSION = "canonical-f64-v2"
+
+# the bucket-id column :func:`bucket_exchange` groups on and strips
+BUCKET_COL = "__b"
 
 
 def key_hashes(keys: np.ndarray) -> np.ndarray:
@@ -76,8 +85,8 @@ def arrow_type_of(typ) -> pa.DataType | None:
         return None
 
 
-def bucket_tagger(key_col: str, num_buckets: int, col_name: str = "__b"):
-    """map_batches fn appending ``col_name = hash(key_col) % num_buckets``
+def bucket_tagger(key_col: str, num_buckets: int):
+    """map_batches fn appending ``BUCKET_COL = hash(key_col) % num_buckets``
     (dtype-canonical, see :func:`key_hashes`).
 
     Null keys are pinned to bucket 0: their hash is NOT stable across
@@ -93,7 +102,7 @@ def bucket_tagger(key_col: str, num_buckets: int, col_name: str = "__b"):
         b = (kh % num_buckets).astype(np.int64)
         valid = pc.is_valid(t[key_col]).to_numpy(zero_copy_only=False)
         b[~np.asarray(valid, np.bool_)] = 0
-        return t.append_column(col_name, pa.array(b))
+        return t.append_column(BUCKET_COL, pa.array(b))
 
     return tag
 
@@ -170,28 +179,38 @@ def bucket_sizes(ds, key_col: str, num_buckets: int = 32) -> np.ndarray:
     return tot
 
 
+def bucket_exchange(tagged_ds, fn, batch_format: str = "pandas"):
+    """The bucket shuffle: group ``tagged_ds`` on its :data:`BUCKET_COL`
+    column and call ``fn(bucket_frame) -> frame`` once per bucket, on a
+    frame (``batch_format``) without the tag column.  The caller chooses
+    the bucket id (:func:`bucket_tagger`, or its own hash when the
+    assignment must differ); the exchange owns how the rows move."""
+
+    def strip(g):
+        return fn(g.drop_columns([BUCKET_COL]) if isinstance(g, pa.Table)
+                  else g.drop(columns=BUCKET_COL))
+
+    return tagged_ds.groupby(BUCKET_COL).map_groups(
+        strip, batch_format=batch_format)
+
+
 def grouped_apply(ds, key_cols, fn, num_buckets: int = 32,
                   batch_format: str = "pandas"):
     """PUBLIC extension point for custom per-key operators: co-locate
-    each key's rows with ONE ``hash(key) % num_buckets`` shuffle and call
+    each key's rows with ONE ``hash(key) % num_buckets`` shuffle
+    (:func:`bucket_tagger` + :func:`bucket_exchange`) and call
     ``fn(bucket_frame) -> frame`` once per BUCKET (never once per key —
     the group count is ``num_buckets`` regardless of key cardinality,
     which is the difference between 32 tasks and 10^8 tasks at corpus
-    scale).  ``fn`` must handle multiple keys per frame; pair it with
+    scale).  ``fn`` sees the input columns only, never the bucket tag,
+    and must handle multiple keys per frame; pair it with
     :func:`run_starts` (or ``windowfn._sorted_runs``) for vectorized
     segmented kernels.  Null keys pool into bucket 0.  Multi-column keys
     tag on the FIRST column (same-first-column keys co-locate; fn still
-    groups exactly)."""
+    groups exactly).  A per-batch pre-step (a combiner such as a local
+    dedup or top-k prune) goes in as ``grouped_apply(ds.map_batches(pre),
+    ...)``; Ray fuses it with the tagger into one map."""
     key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
-
-    def wrapped(g):
-        g = g.drop_columns(["__b"]) if hasattr(g, "drop_columns") \
-            else g.drop(columns="__b")
-        return fn(g)
-
-    return (
-        ds.map_batches(bucket_tagger(key_cols[0], num_buckets),
-                       batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(wrapped, batch_format=batch_format)
-    )
+    tagged = ds.map_batches(bucket_tagger(key_cols[0], num_buckets),
+                            batch_format="pyarrow", zero_copy_batch=True)
+    return bucket_exchange(tagged, fn, batch_format)

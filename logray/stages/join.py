@@ -20,7 +20,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from logray.stages.bucketing import key_hashes
+from logray.stages.bucketing import BUCKET_COL, bucket_exchange, key_hashes
 
 
 # Only inner/left are sound PER BATCH against a broadcast side: a per-batch
@@ -271,7 +271,7 @@ def _bucketed_join(left, right, on, right_on, how, num_buckets,
                     for c, src in src_of.items()}
             out = pa.table(cols)
             out = out.append_column(
-                "__bucket", pa.array((h % num_buckets).astype(np.int64)))
+                BUCKET_COL, pa.array((h % num_buckets).astype(np.int64)))
             return out.append_column(
                 "__side", pa.array(np.full(t.num_rows, side, np.int8)))
 
@@ -299,7 +299,7 @@ def _bucketed_join(left, right, on, right_on, how, num_buckets,
                 f"the right-side key {right_keys} is not unique")
         return out.select(all_cols)
 
-    return both.groupby("__bucket").map_groups(merge, batch_format="pyarrow")
+    return bucket_exchange(both, merge, batch_format="pyarrow")
 
 
 def _bucketed_join_pandas(left, right, on, right_on, how, num_buckets,
@@ -319,7 +319,7 @@ def _bucketed_join_pandas(left, right, on, right_on, how, num_buckets,
             for k in keys:
                 h = h * np.uint64(1000003) + key_hashes(
                     t[k].to_numpy(zero_copy_only=False))
-            t = t.append_column("__bucket", pa.array((h % num_buckets).astype(np.int64)))
+            t = t.append_column(BUCKET_COL, pa.array((h % num_buckets).astype(np.int64)))
             return t.append_column("__side", pa.array(np.full(t.num_rows, side, np.int8)))
 
         return fn
@@ -344,7 +344,7 @@ def _bucketed_join_pandas(left, right, on, right_on, how, num_buckets,
                 f"right-side key {list(right_on)} is not unique")
         return out
 
-    return both.groupby("__bucket").map_groups(merge, batch_format="pandas")
+    return bucket_exchange(both, merge)
 
 
 def asof_join(left, right, key: str, ts_col: str = "ts", right_cols=None,
@@ -373,7 +373,7 @@ def asof_join(left, right, key: str, ts_col: str = "ts", right_cols=None,
     def tag(side):
         def fn(t: pa.Table) -> pa.Table:
             b = bucket_of(t[key].to_numpy(zero_copy_only=False), num_buckets)
-            t = t.append_column("__bucket", pa.array(b))
+            t = t.append_column(BUCKET_COL, pa.array(b))
             return t.append_column("__side", pa.array(np.full(t.num_rows, side, np.int8)))
         return fn
 
@@ -395,7 +395,7 @@ def asof_join(left, right, key: str, ts_col: str = "ts", right_cols=None,
         )
         return merged
 
-    return lt.union(rt).groupby("__bucket").map_groups(per_bucket, batch_format="pandas")
+    return bucket_exchange(lt.union(rt), per_bucket)
 
 
 def range_join(left, right_intervals, value_col: str, lo_col: str = "lo",

@@ -24,7 +24,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from logray.stages.bucketing import bucket_tagger, stream_fold
+from logray.stages.bucketing import grouped_apply, stream_fold
 
 
 def reassemble_conversations(ds, fn=None, conv_col: str = "conv_id", turn_col: str = "turn_idx"):
@@ -61,18 +61,13 @@ def fold_dialogues(ds, sep: str = "\n", text_col: str = "text",
     ``hash(conv) % num_buckets`` and fold each bucket with one pandas
     ``groupby(conv).agg(join)`` over the (conv, turn)-sorted frame, instead
     of one Ray group per conversation."""
-    tag = bucket_tagger(conv_col, num_buckets)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([conv_col, turn_col], kind="mergesort")
         s = g.groupby(conv_col, sort=False)[text_col].agg(lambda x: sep.join(x.astype(str)))
         return pd.DataFrame({conv_col: s.index.to_numpy(), "dialogue": s.to_numpy()})
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return grouped_apply(ds, conv_col, per_bucket, num_buckets=num_buckets)
 
 
 def conversation_stats(ds, conv_col: str = "conv_id", ts_col: str = "ts"):
@@ -115,6 +110,8 @@ def preview(view, n: int = 20, from_key: tuple | None = None, backward: bool = F
     (the getPreviousValidLine paging direction).  Per-batch top-n winners
     stream to the driver, which merges the tiny candidate set — cost
     O(rows) scan, O(batches*n) merge."""
+    if n < 0:
+        raise ValueError(f"preview: n must be >= 0, got {n}")
     direction = "descending" if backward else "ascending"
 
     def topn(t: pa.Table) -> pa.Table:
@@ -167,8 +164,6 @@ def turn_context(ds, window: int = 3, sep: str = "\n", text_col: str = "text",
     (conv, turn)-sorted frame, masked at conversation boundaries."""
     import numpy as np
 
-    tag = bucket_tagger(conv_col, num_buckets)
-
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g = g.sort_values([conv_col, turn_col], kind="mergesort").reset_index(drop=True)
         n = len(g)
@@ -184,8 +179,4 @@ def turn_context(ds, window: int = 3, sep: str = "\n", text_col: str = "text",
             ctx = (shifted + sep + ctx).where(pd.Series(same), ctx)
         return pd.DataFrame({conv_col: g[conv_col], turn_col: g[turn_col], "context": ctx})
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return grouped_apply(ds, conv_col, per_bucket, num_buckets=num_buckets)

@@ -59,7 +59,7 @@ def collect_list(ds, key_col: str, value_col: str, order_col: str,
     bucket shuffle, then a single mergesort + run-boundary split per
     bucket — group count is ``num_buckets``, never the key cardinality.
     Output: one row per key with ``out_col`` = the ordered value array."""
-    from logray.stages.bucketing import bucket_tagger, run_starts
+    from logray.stages.bucketing import grouped_apply, run_starts
 
     out = out_col or f"{value_col}_list"
     order_cols = [order_col] + ([tiebreak_col] if tiebreak_col else [])
@@ -80,12 +80,7 @@ def collect_list(ds, key_col: str, value_col: str, order_col: str,
             {key_col: pa.Array.from_pandas(g[key_col].iloc[starts]), out: lst}
         )
 
-    return (
-        ds.map_batches(bucket_tagger(key_col, num_buckets),
-                       batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return grouped_apply(ds, key_col, per_bucket, num_buckets=num_buckets)
 
 
 def unpivot(ds, id_cols, value_cols, var_col: str = "name",

@@ -47,6 +47,8 @@ def local_to_global(view, ordinal: int, conv_col: str = "conv_id", turn_col: str
     Per-batch (ordinal+1)-smallest candidates stream to the driver, which
     merges — O(batches x ordinal) driver memory, intended for interactive
     jump targets, not bulk enumeration (use ordered_view for that)."""
+    if ordinal < 0:
+        raise ValueError(f"local_to_global: ordinal must be >= 0, got {ordinal}")
     k = ordinal + 1
 
     def topk(t: pa.Table) -> pa.Table:

@@ -18,7 +18,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from logray.stages.bucketing import bucket_tagger, stream_fold
+from logray.stages.bucketing import grouped_apply, stream_fold
 from logray.stages.windowfn import _sorted_runs
 
 __all__ = [
@@ -131,12 +131,7 @@ def transition_counts(ds, key_col: str, order_col: str, val_col: str,
         s["n"] = s["n"].astype(np.int64)
         return s
 
-    parts = (
-        ds.map_batches(bucket_tagger(key_col, num_buckets),
-                       batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    parts = grouped_apply(ds, key_col, per_bucket, num_buckets=num_buckets)
     folded = stream_fold(parts, _fold_sum(names))
     if folded is None:
         folded = pa.table({**{c: [] for c in names},
@@ -301,14 +296,10 @@ def funnel(ds, key_col: str, order_col: str, val_col: str,
         keys = g[key_col].to_numpy()[starts] if n else g[key_col].to_numpy()
         return pd.DataFrame({key_col: keys, "stage_reached": reached})
 
-    out = (
+    out = grouped_apply(
         ds.map_batches(prune, batch_format="pyarrow", zero_copy_batch=True,
-                       batch_size=None)
-        .map_batches(bucket_tagger(key_col, num_buckets),
-                     batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+                       batch_size=None),
+        key_col, per_bucket, num_buckets=num_buckets)
     return out.to_pandas() if as_pandas else out
 
 
@@ -375,12 +366,7 @@ def cohort_retention(ds, key_col: str, ts_col: str, num_buckets: int = 32,
              "off": pd.Series([], dtype="int64"),
              "n": pd.Series([], dtype="int64")})
 
-    parts = (
-        ds.map_batches(bucket_tagger(key_col, num_buckets),
-                       batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    parts = grouped_apply(ds, key_col, per_bucket, num_buckets=num_buckets)
     folded = stream_fold(parts, _fold_sum(["cohort", "off"]))
     if folded is None:
         df = pd.DataFrame({"cohort_day": pd.Series([], dtype="datetime64[us]"),
@@ -449,15 +435,10 @@ def trailing_active(ds, key_col: str, ts_col: str, window_days: int = 7,
         s["n"] = s["n"].astype(np.int64)
         return s
 
-    parts = (
+    parts = grouped_apply(
         ds.map_batches(local_dedup, batch_format="pyarrow",
-                       zero_copy_batch=True, batch_size=None)
-        .map_batches(bucket_tagger(key_col, num_buckets),
-                     batch_format="pyarrow", zero_copy_batch=True,
-                     batch_size=None)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+                       zero_copy_batch=True, batch_size=None),
+        key_col, per_bucket, num_buckets=num_buckets)
     folded = stream_fold(parts, _fold_sum(["day"]))
     if folded is None:
         df = pd.DataFrame({"day": pd.Series([], dtype="datetime64[us]"),
@@ -537,12 +518,7 @@ def merge_intervals(ds, key_col: str, start_col: str, end_col: str,
             "n_merged": cnt.astype(np.int64),
         })
 
-    out = (
-        ds.map_batches(bucket_tagger(key_col, num_buckets),
-                       batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    out = grouped_apply(ds, key_col, per_bucket, num_buckets=num_buckets)
     return out.to_pandas() if as_pandas else out
 
 
@@ -603,12 +579,7 @@ def dialogue_pairs(ds, conv_col: str = "conv_id", order_col: str = "turn_idx",
             "response": txt[idx + 1],
         })
 
-    return (
-        ds.map_batches(bucket_tagger(conv_col, num_buckets),
-                       batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return grouped_apply(ds, conv_col, per_bucket, num_buckets=num_buckets)
 
 
 def dialogue_pairs_sql(table: str, conv_col: str = "conv_id",
@@ -646,7 +617,6 @@ def rate_limit(ds, key_col: str, ts_col: str, window_s: float, n: int,
     order_cols = [ts_col] + ([tiebreak_col] if tiebreak_col else [])
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        cols = [c for c in g.columns if c != "__b"]
         g = g[g[ts_col].notna()]
         g, run_id, _first = _sorted_runs(g, key_col, order_cols)
         ts = (g[ts_col].to_numpy().astype("datetime64[us]").view(np.int64))
@@ -659,14 +629,9 @@ def rate_limit(ds, key_col: str, ts_col: str, window_s: float, n: int,
         idx = np.arange(m, dtype=np.int64)
         seg_start = np.maximum.accumulate(np.where(new_seg, idx, -1))
         keep = (idx - seg_start) < n
-        return g.loc[keep, cols]
+        return g.loc[keep]
 
-    return (
-        ds.map_batches(bucket_tagger(key_col, num_buckets),
-                       batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return grouped_apply(ds, key_col, per_bucket, num_buckets=num_buckets)
 
 
 def rate_limit_sql(table: str, key_col: str, ts_col: str, window_s: float,
@@ -695,7 +660,6 @@ def dedup_consecutive(ds, key_col: str, order_col: str, val_col: str,
     order_cols = [order_col] + ([tiebreak_col] if tiebreak_col else [])
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        cols = [c for c in g.columns if c != "__b"]
         g, run_id, _first = _sorted_runs(g, key_col, order_cols)
         v = g[val_col]
         m = len(g)
@@ -709,14 +673,9 @@ def dedup_consecutive(ds, key_col: str, order_col: str, val_col: str,
             same_val[both] = vn[1:][both] == vn[:-1][both]
             same_val |= na[1:] & na[:-1]
             keep[1:] = ~(same_run & same_val)
-        return g.loc[keep, cols]
+        return g.loc[keep]
 
-    return (
-        ds.map_batches(bucket_tagger(key_col, num_buckets),
-                       batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return grouped_apply(ds, key_col, per_bucket, num_buckets=num_buckets)
 
 
 def dedup_consecutive_sql(table: str, key_col: str, order_col: str,
@@ -753,14 +712,9 @@ def lateness(ds, key_col: str, arrival_col: str, ts_col: str,
         ts = g[ts_col].to_numpy().astype("datetime64[us]").view(np.int64)
         cm = pd.Series(ts).groupby(run_id).cummax().to_numpy()
         g["late_us"] = (cm - ts).astype(np.int64)
-        return g.drop(columns="__b")
+        return g
 
-    return (
-        ds.map_batches(bucket_tagger(key_col, num_buckets),
-                       batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return grouped_apply(ds, key_col, per_bucket, num_buckets=num_buckets)
 
 
 def lateness_sql(table: str, key_col: str, arrival_col: str, ts_col: str,

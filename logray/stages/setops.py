@@ -20,6 +20,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from logray.stages.bucketing import BUCKET_COL, bucket_exchange
+
 __all__ = ["intersect_distinct", "except_distinct"]
 
 
@@ -44,7 +46,7 @@ def _tag_side(side: int, cols: list[str], num_buckets: int):
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         df = df[list(cols)].drop_duplicates()
         df["__side"] = np.int8(side)
-        df["__b"] = (_row_hash(df, cols) % num_buckets).astype(np.int64)
+        df[BUCKET_COL] = (_row_hash(df, cols) % num_buckets).astype(np.int64)
         return df
 
     return fn
@@ -67,7 +69,7 @@ def _set_op(a, b, cols, keep_min: int, keep_max: int, num_buckets: int):
         keep = sides[(sides["min"] == keep_min) & (sides["max"] == keep_max)]
         return keep.reset_index()[cols]
 
-    return both.groupby("__b").map_groups(per_bucket, batch_format="pandas")
+    return bucket_exchange(both, per_bucket)
 
 
 def intersect_distinct(a, b, cols, num_buckets: int = 32):

@@ -22,7 +22,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from logray.stages.aggregate import histogram
-from logray.stages.bucketing import bucket_tagger as _bucket_tagger
+from logray.stages.bucketing import grouped_apply
 
 
 def tumbling_window(ds, ts_col: str = "ts", key_cols=None, width: str = "hour",
@@ -138,14 +138,9 @@ def sessionize(ds, key_col: str, ts_col: str = "ts", gap_s: float = 1800.0,
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
         g, _new_key, session = _segmented_sessions(g, key_col, ts_col, gap_us, tiebreak_col)
         g["session_id"] = session
-        return g.drop(columns="__b")
+        return g
 
-    return (
-        ds.map_batches(_bucket_tagger(key_col, num_buckets),
-                       batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return grouped_apply(ds, key_col, per_bucket, num_buckets=num_buckets)
 
 
 def sessions_per_key(ds, key_col: str, ts_col: str = "ts", gap_s: float = 1800.0,
@@ -166,13 +161,7 @@ def sessions_per_key(ds, key_col: str, ts_col: str = "ts", gap_s: float = 1800.0
             }
         )
 
-    return (
-        ds.map_batches(_bucket_tagger(key_col, num_buckets),
-                       batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-        .to_pandas()
-    )
+    return grouped_apply(ds, key_col, per_bucket, num_buckets=num_buckets).to_pandas()
 
 
 _OHLC_COLS = ["window_start", "o_ts", "o_tb", "open", "c_ts", "c_tb",
@@ -247,7 +236,6 @@ def resample_ohlc(ds, key_col: str, ts_col: str = "ts", val_col: str = "value",
         return _ohlc_merge(df, key_col)
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.drop(columns="__b")
         if not len(g):
             return pd.DataFrame({key_col: [], "window_start": pd.array([], dtype="int64"),
                                  "open": pd.array([], dtype="float64"),
@@ -263,15 +251,10 @@ def resample_ohlc(ds, key_col: str, ts_col: str = "ts", val_col: str = "value",
         out["sum_cents"] = out["sum_cents"].astype("int64")
         return out
 
-    out = (
+    out = grouped_apply(
         ds.map_batches(part, batch_format="pyarrow", zero_copy_batch=True,
-                       batch_size=None)
-        .map_batches(_bucket_tagger(key_col, num_buckets),
-                     batch_format="pyarrow", zero_copy_batch=True,
-                     batch_size=None)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+                       batch_size=None),
+        key_col, per_bucket, num_buckets=num_buckets)
     return out.to_pandas() if as_pandas else out
 
 

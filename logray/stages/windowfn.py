@@ -26,8 +26,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from logray.stages.bucketing import bucket_tagger as _bucket_tagger
-from logray.stages.bucketing import run_starts
+from logray.stages.bucketing import grouped_apply, run_starts
 
 
 def _sorted_runs(g: pd.DataFrame, key_col: str, order_cols: list[str]):
@@ -71,14 +70,9 @@ def lag_lead(ds, key_col: str, order_col: str, value_col: str, n: int = 1,
         g, run_id, _first = _sorted_runs(g, key_col, order_cols)
         g[f"lag_{value_col}"] = _shift_within_runs(g[value_col], run_id, n)
         g[f"lead_{value_col}"] = _shift_within_runs(g[value_col], run_id, -n)
-        return g.drop(columns="__b")
+        return g
 
-    return (
-        ds.map_batches(_bucket_tagger(key_col, num_buckets),
-                       batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return grouped_apply(ds, key_col, per_bucket, num_buckets=num_buckets)
 
 
 def lag_lead_sql(table: str, key_col: str, order_col: str, value_col: str,
@@ -118,7 +112,7 @@ def rolling_agg(ds, key_col: str, order_col: str, value_col: str,
             g["roll_sum"] = pd.array([], dtype="int64")
             g["roll_n"] = pd.array([], dtype="int64")
             g["roll_mean"] = pd.array([], dtype="float64")
-            return g.drop(columns="__b")
+            return g
         s = g[value_col]
         int_exact = pd.api.types.is_integer_dtype(s) and not s.isna().any()
         if int_exact:
@@ -144,14 +138,9 @@ def rolling_agg(ds, key_col: str, order_col: str, value_col: str,
         g["roll_sum"] = roll_sum if int_exact else np.where(roll_n > 0, roll_sum, np.nan)
         g["roll_n"] = roll_n
         g["roll_mean"] = roll_mean
-        return g.drop(columns="__b")
+        return g
 
-    return (
-        ds.map_batches(_bucket_tagger(key_col, num_buckets),
-                       batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return grouped_apply(ds, key_col, per_bucket, num_buckets=num_buckets)
 
 
 def rolling_agg_sql(table: str, key_col: str, order_col: str, value_col: str,
@@ -199,7 +188,7 @@ def rolling_agg_range(ds, key_col: str, order_col: str, value_col: str,
             g["roll_sum"] = pd.array([], dtype="int64")
             g["roll_n"] = pd.array([], dtype="int64")
             g["roll_mean"] = pd.array([], dtype="float64")
-            return g.drop(columns="__b")
+            return g
         o = g[order_col].to_numpy()
         if not np.issubdtype(o.dtype, np.integer):
             raise TypeError(
@@ -244,14 +233,9 @@ def rolling_agg_range(ds, key_col: str, order_col: str, value_col: str,
         g["roll_sum"] = roll_sum if int_exact else np.where(roll_n > 0, roll_sum, np.nan)
         g["roll_n"] = roll_n
         g["roll_mean"] = roll_mean
-        return g.drop(columns="__b")
+        return g
 
-    return (
-        ds.map_batches(_bucket_tagger(key_col, num_buckets),
-                       batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return grouped_apply(ds, key_col, per_bucket, num_buckets=num_buckets)
 
 
 def rolling_agg_range_sql(table: str, key_col: str, order_col: str,
@@ -331,14 +315,9 @@ def rank_window(ds, key_col: str, order_col: str,
             # its final peer
             last_peer = np.searchsorted(csteps, csteps, side="right") - 1
             g["cume_dist"] = (last_peer - first + 1).astype(np.float64) / run_len
-        return g.drop(columns="__b")
+        return g
 
-    return (
-        ds.map_batches(_bucket_tagger(key_col, num_buckets),
-                       batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return grouped_apply(ds, key_col, per_bucket, num_buckets=num_buckets)
 
 
 def global_rank(ds, col: str, id_col: str, pct: bool = True,
@@ -520,7 +499,7 @@ def value_window(ds, key_col: str, order_col: str, value_col: str,
             g[f"last_{value_col}"] = g[value_col]
             if nth is not None:
                 g[f"nth_{value_col}"] = pd.array([], dtype="float64")
-            return g.drop(columns="__b")
+            return g
         starts = run_starts(g[key_col].to_numpy())
         f_idx = np.flatnonzero(starts)
         nxt = np.append(f_idx[1:], n)
@@ -537,14 +516,9 @@ def value_window(ds, key_col: str, order_col: str, value_col: str,
                     pd.Series(ok), np.nan)
             else:
                 g[f"nth_{value_col}"] = taken.where(pd.Series(ok), None)
-        return g.drop(columns="__b")
+        return g
 
-    return (
-        ds.map_batches(_bucket_tagger(key_col, num_buckets),
-                       batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return grouped_apply(ds, key_col, per_bucket, num_buckets=num_buckets)
 
 
 def value_window_sql(table: str, key_col: str, order_col: str,
@@ -621,14 +595,9 @@ def fill_forward(ds, key_col: str, order_col: str, value_col: str,
         else:
             out = taken.where(pd.Series(ok), None)
         g[f"ff_{value_col}"] = out
-        return g.drop(columns="__b")
+        return g
 
-    return (
-        ds.map_batches(_bucket_tagger(key_col, num_buckets),
-                       batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return grouped_apply(ds, key_col, per_bucket, num_buckets=num_buckets)
 
 
 def fill_forward_sql(table: str, key_col: str, order_col: str,
@@ -669,14 +638,9 @@ def ewma(ds, key_col: str, order_col: str, value_col: str, alpha: float,
         em = (g.groupby(run_id, sort=False)[value_col]
               .ewm(alpha=alpha, adjust=False, ignore_na=True).mean())
         g[f"ewma_{value_col}"] = em.to_numpy()
-        return g.drop(columns="__b")
+        return g
 
-    return (
-        ds.map_batches(_bucket_tagger(key_col, num_buckets),
-                       batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return grouped_apply(ds, key_col, per_bucket, num_buckets=num_buckets)
 
 
 def ewma_fixedpoint(ds, key_col: str, order_col: str, value_col: str,
@@ -742,14 +706,9 @@ def ewma_fixedpoint(ds, key_col: str, order_col: str, value_col: str,
                 break
             y[m] = (num * x[m] + (den - num) * y[m - 1]) // den
         g[out_col] = y / float(scale)
-        return g.drop(columns="__b")
+        return g
 
-    return (
-        ds.map_batches(_bucket_tagger(key_col, num_buckets),
-                       batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return grouped_apply(ds, key_col, per_bucket, num_buckets=num_buckets)
 
 
 def ewma_fixedpoint_sql(table: str, key_col: str, order_col: str,
@@ -808,14 +767,9 @@ def rolling_median(ds, key_col: str, order_col: str, value_col: str,
         med = (g.groupby(run_id, sort=False)[value_col]
                .rolling(window, min_periods=1).median())
         g[f"rmed_{value_col}"] = med.to_numpy()
-        return g.drop(columns="__b")
+        return g
 
-    return (
-        ds.map_batches(_bucket_tagger(key_col, num_buckets),
-                       batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__b")
-        .map_groups(per_bucket, batch_format="pandas")
-    )
+    return grouped_apply(ds, key_col, per_bucket, num_buckets=num_buckets)
 
 
 def rolling_median_sql(table: str, key_col: str, order_col: str,

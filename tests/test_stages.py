@@ -1156,6 +1156,7 @@ def test_asof_join_directions(ray_session):
 def test_grouped_apply_extension_point(ray_session):
     import numpy as np
     import pandas as pd
+    import pyarrow as pa
     import ray.data as rd
 
     from logray.stages.bucketing import grouped_apply
@@ -1165,20 +1166,26 @@ def test_grouped_apply_extension_point(ray_session):
                        "v": rng.integers(0, 100, 4000)})
 
     # a custom per-key op written against the public extension point:
-    # range (max - min) per key, vectorized over the whole bucket
-    def key_range(g: pd.DataFrame) -> pd.DataFrame:
-        s = g.groupby("k", sort=False)["v"]
-        return pd.DataFrame({"k": s.max().index,
-                             "rng": (s.max() - s.min()).to_numpy()})
-
-    got = (
-        grouped_apply(rd.from_pandas(df).repartition(7), "k", key_range,
-                      num_buckets=8)
-        .to_pandas().sort_values("k").reset_index(drop=True)
-    )
+    # range (max - min) per key, vectorized over the whole bucket; the
+    # exchange hands fn the batch format asked for, with the input
+    # columns only, never its bucket tag
     want = (df.groupby("k")["v"].agg(lambda s: s.max() - s.min())
             .rename("rng").reset_index())
-    pd.testing.assert_frame_equal(got, want.astype({"rng": got["rng"].dtype}))
+    for batch_format in ("pandas", "pyarrow"):
+        def key_range(g, arrow=batch_format == "pyarrow"):
+            assert isinstance(g, pa.Table if arrow else pd.DataFrame)
+            assert list(g.column_names if arrow else g.columns) == ["k", "v"]
+            s = (g.to_pandas() if arrow else g).groupby("k", sort=False)["v"]
+            return pd.DataFrame({"k": s.max().index,
+                                 "rng": (s.max() - s.min()).to_numpy()})
+
+        got = (
+            grouped_apply(rd.from_pandas(df).repartition(7), "k", key_range,
+                          num_buckets=8, batch_format=batch_format)
+            .to_pandas().sort_values("k").reset_index(drop=True)
+        )
+        pd.testing.assert_frame_equal(
+            got, want.astype({"rng": got["rng"].dtype}))
 
 
 def test_hash_join_null_int_keys_match(ray_session):

@@ -13,7 +13,7 @@ from logray.stages.window import (
     tumbling_window,
 )
 from logray.stages.search import global_to_local, local_to_global
-from logray.stages.reassemble import fold_dialogue, reassemble_conversations
+from logray.stages.reassemble import fold_dialogue, preview, reassemble_conversations
 
 
 def test_session_ids_unit():
@@ -131,6 +131,25 @@ def test_local_to_global_golden(info_view):
     for local, glob in enumerate(INFO_LINES):
         assert local_to_global(info_view, local) == ("g", glob), local
     assert local_to_global(info_view, 10) is None  # past the end
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: local_to_global(v, -1),
+    lambda v: local_to_global(v, -3),
+    lambda v: preview(v, n=-1),
+])
+def test_negative_ordinal_and_n_rejected(ray_session, call):
+    """A negative ordinal used to index from the end of the candidate
+    list (-3 gave a wrong row, -1 an IndexError) and ``preview(n=-1)``
+    sliced off the last rows; both now raise."""
+    import ray.data as rd
+
+    view = rd.from_arrow(pa.table({
+        "conv_id": ["a"] * 5 + ["b"] * 5,
+        "turn_idx": pa.array(list(range(5)) * 2, pa.int32()),
+    })).repartition(2)
+    with pytest.raises(ValueError, match=">= 0"):
+        call(view)
 
 
 def test_global_to_local_roundtrip(info_view):
@@ -842,8 +861,8 @@ def test_global_rank_sorts_only_the_narrow_projection(ray_session,
 
     from logray.stages.windowfn import _rank_table, global_rank
 
-    # Ray's groupby(__bucket).map_groups inside the join-back issues its
-    # own internal sort (the streaming bucket exchange) — the scale claim
+    # the bucket exchange (bucketing.bucket_exchange) inside the join-back
+    # issues its own internal sort — the scale claim
     # is about the VALUE sort that gets .materialize()d, so the spy
     # records only sorts keyed on the rank columns
     sorted_widths = []
