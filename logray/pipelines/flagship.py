@@ -31,6 +31,7 @@ from logray.formats import LineFormat
 from logray.stages.enrich import enrich_stage
 from logray.stages.parse import parse_stage
 from logray.stages.route import Route, Router, route_exclusive
+from logray.vparse import VectorParser
 
 
 @dataclass
@@ -110,7 +111,9 @@ def run_pipeline(ds, cfg: PipelineConfig, out_dir: str, write_metrics: bool = Tr
     def metric_rows(name: str):
         return folded.filter(pc.equal(folded["metric"], name))
 
-    metrics: dict = {"routes": {}, "histograms": {}}
+    # the parse path chosen in this process: "compiled" or "interpreter"
+    fmt = LineFormat.from_format_string(cfg.format_string)
+    metrics: dict = {"parse_path": VectorParser(fmt).path, "routes": {}, "histograms": {}}
     rc = metric_rows("route")
     metrics["routes"] = {
         str(k): int(v) for k, v in zip(rc["key"].to_pylist(), rc["n"].to_pylist())

@@ -1,302 +1,15 @@
-"""RE2 fast path for the vectorized parser.
+"""Names kept for ``perfbench/layers.py``; both now run the compiled scanner."""
 
-``pc.extract_regex`` (RE2 inside Arrow) parses ~3-4x faster than the numpy
-interpreter, but regex alternation/backtracking semantics do not coincide
-with the reference's sequential maximal-munch parser: a backtracked match
-can "donate" characters from one greedy field to a later one and accept
-lines the reference rejects.  Instead of trying to forbid that statically,
-the fast path **verifies maximality post-hoc** and falls back row-wise:
-
-1. pattern structure ``^(?:$|F1(?:$|F2(?:$|...Fn$)))`` reproduces the
-   early-EOL-success rule exactly: after every field the highest-priority
-   alternative is end-of-line, so trailing fields stay unset (RE2 keeps
-   Perl alternation priority for captures);
-2. EVERY atom captures; per row the capture lengths reconstruct each
-   field's start offset, and for every variable-length atom the byte AFTER
-   its captured span must lie outside the atom's consumable class — i.e.
-   the capture is exactly the interpreter's maximal munch.  Rows failing
-   any check (a backtracked, non-greedy match) go to the interpreter;
-3. a field counts as *executed* iff its index is <= L, the last atom with
-   a non-empty capture (Arrow reports non-participating groups as ``""``);
-   under the $-priority structure fields past L are exactly the unset ones;
-4. rows containing CR or NUL go to the interpreter (the CRLF end-of-line
-   rule needs lookahead, and classes conservatively stop at CR), as do
-   rows whose INT captures exceed 18 digits (strtol saturation) and rows
-   the pattern does not match at all;
-5. DBL atoms capture only the CURSOR span (digits + at most one dot,
-   possibly empty — parse_dbl never consumes whitespace/sign/exponent);
-   the atof VALUE, which may read past that span, is recomputed with the
-   interpreter's own lookahead kernel (vparse.parse_dbl_value_at) at the
-   offsets the captures reconstruct.  Maximality adds the one-dot rule
-   (a '.' following a dotless span means the match was backtracked), and
-   rows where an executed DBL fails the ``val!=0 or leading '0'`` success
-   rule fall back to the interpreter (mid-line parse failure).
-
-With maximality verified, a matching row's field spans are precisely the
-spans the sequential interpreter would produce, so captures and
-``well_formatted`` agree bit-for-bit; the test-suite fuzz checks the
-combined path against the scalar oracle.
-"""
-
-from __future__ import annotations
-
-import numpy as np
-import pyarrow as pa
-import pyarrow.compute as pc
-
-from logray.formats import Field, FieldType, LineFormat, StrStop
-from logray.vparse import _string_buffer_views
-
-_WS5 = " \t\v\f\r"  # whitespace-field set (isspace minus \n)
-_ANYWS_STOP = " \t\n\v\f\r\x00"
-
-_CLS_ESCAPES = {
-    "\x00": r"\x00",
-    "\n": r"\n",
-    "\r": r"\r",
-    "\t": r"\t",
-    "\v": r"\v",
-    "\f": r"\f",
-}
+from logray.vparse import VectorParser
 
 
-def _esc(ch: str) -> str:
-    if ch in r"\^$.|?*+()[]{}":
-        return "\\" + ch
-    return _CLS_ESCAPES.get(ch, ch)
+def compile_re2(fmt):
+    return fmt
 
 
-def _cls(chars: str, negate: bool) -> str:
-    body = "".join(
-        _CLS_ESCAPES.get(c, "\\" + c if c in "\\^]-[" else c) for c in chars
-    )
-    return f"[{'^' if negate else ''}{body}]"
+class Re2Parser(VectorParser):
+    def __init__(self, fmt, compiled=None):
+        super().__init__(fmt)
 
-
-def _class_mask(chars) -> np.ndarray:
-    t = np.zeros(256, np.bool_)
-    for c in chars:
-        t[ord(c)] = True
-    return t
-
-
-class _Atom:
-    """rx: capture-group regex; consume_mask: byte-class table for the
-    maximality check (None = fixed-shape atom, no check needed); dbl atoms
-    additionally apply the one-dot rule and a lookahead value recompute."""
-
-    def __init__(self, rx: str, consume_mask: np.ndarray | None, dbl: bool = False):
-        self.rx = rx
-        self.consume_mask = consume_mask
-        self.dbl = dbl
-
-
-def _atom(f: Field, name: str) -> _Atom | None:
-    cap = lambda rx: f"(?P<{name}>{rx})"
-    if f.ftype == FieldType.INT:
-        return _Atom(cap("[0-9]+"), _class_mask("0123456789"))
-    if f.ftype == FieldType.DBL:
-        # the CURSOR span: digits then at most one dot then digits, possibly
-        # empty (parse_dbl never consumes whitespace, sign or exponent —
-        # the VALUE may read past this span and is recomputed with the
-        # interpreter's own lookahead kernel, see parse_array)
-        return _Atom(cap(r"[0-9]*(?:\.[0-9]*)?"), _class_mask("0123456789"), dbl=True)
-    if f.ftype == FieldType.CHR:
-        rx = cap(_esc(f.target) + ("+" if f.repeat else ""))
-        return _Atom(rx, _class_mask(f.target) if f.repeat else None)
-    if f.ftype == FieldType.WS:
-        return _Atom(cap(_cls(_WS5, False) + "*"), _class_mask(_WS5))
-    if f.ftype == FieldType.STR:
-        if f.stop == StrStop.NCHAR:
-            if f.nchar == 0:
-                return _Atom(cap(""), None)
-            return _Atom(cap(f"(?s:.{{{f.nchar}}})"), None)
-        if f.stop == StrStop.ANY_WS:
-            mask = ~_class_mask(_ANYWS_STOP)
-            return _Atom(cap(_cls(_ANYWS_STOP, True) + "*"), mask)
-        # DELIM: stop at delim, NUL, LF and CR (CR rows are pre-routed to
-        # the interpreter so the conservative CR stop cannot diverge)
-        stops = "".join(sorted({f.delim, "\x00", "\n", "\r"}))
-        return _Atom(cap(_cls(stops, True) + "*"), ~_class_mask(stops))
-    return None
-
-
-def compile_re2(fmt: LineFormat):
-    """(pattern, atoms) when the format is expressible, else None."""
-    atoms: list[_Atom] = []
-    for i, f in enumerate(fmt.fields):
-        if f.ftype == FieldType.CHR and f.target in "\n\r\x00":
-            return None  # literal EOL-ish chars: interpreter only
-        a = _atom(f, f"g{i}")
-        if a is None:
-            return None
-        atoms.append(a)
-    tail = "$"
-    for a in reversed(atoms):
-        tail = f"(?:$|{a.rx}{tail})"
-    return "^" + tail, atoms
-
-
-class Re2Parser:
-    """Regex fast path + exact-interpreter fallback for one format."""
-
-    def __init__(self, fmt: LineFormat, compiled):
-        self.fmt = fmt
-        self.pattern, self.atoms = compiled
-        self.n_fields = len(fmt.fields)
-        self.columns: list[tuple[str, int, Field]] = []
-        for name, f, _o in fmt.named_fields():
-            self.columns.append((name, fmt._name_to_index[name], f))
-
-
-    def parse_array(self, texts: pa.Array, interpreter) -> dict[str, pa.Array]:
-        if isinstance(texts, pa.ChunkedArray):
-            texts = texts.combine_chunks()
-        n = len(texts)
-        safe_text = pc.fill_null(texts, "")
-        extracted = pc.extract_regex(safe_text, pattern=self.pattern)
-        matched = np.asarray(pc.fill_null(pc.is_valid(extracted), False))
-        crnul = np.asarray(
-            pc.or_(
-                pc.match_substring(safe_text, "\r"),
-                pc.match_substring(safe_text, "\x00"),
-            )
-        )
-        ok = matched & ~crnul
-
-        # capture lengths -> per-atom end offsets (within each row)
-        lens = np.zeros((self.n_fields, n), np.int64)
-        caps = []
-        for k in range(self.n_fields):
-            capk = pc.struct_field(extracted, f"g{k}")
-            caps.append(capk)
-            lens[k] = np.asarray(pc.fill_null(pc.binary_length(capk), 0))
-        ends = np.cumsum(lens, axis=0)  # ends[k] = offset after atom k
-
-        # INT overflow guard (strtol saturation path)
-        for _name, idx, f in self.columns:
-            if f.ftype == FieldType.INT:
-                ok &= lens[idx] <= 18
-
-        # maximality: the byte following each variable atom's span must not
-        # be consumable by that atom (otherwise the match was backtracked)
-        data, starts, row_ends = _string_buffer_views(texts)
-        padded = np.concatenate([data, np.zeros(1, np.uint8)])
-        rowlen = row_ends - starts
-        for k, a in enumerate(self.atoms):
-            if a.consume_mask is None:
-                continue
-            boundary = ends[k]
-            inside = ok & (boundary < rowlen)
-            if not inside.any():
-                continue
-            b = padded[np.minimum(starts + boundary, len(data))]
-            viol = inside & a.consume_mask[b]
-            if a.dbl:
-                # one-dot rule: a '.' after the span is only consumable by
-                # the cursor when the span has no dot yet (digit-after is
-                # already covered by the digit consume_mask)
-                no_dot = ~np.asarray(
-                    pc.fill_null(pc.match_substring(caps[k], "."), False)
-                )
-                viol |= inside & (b == ord(".")) & no_dot
-            ok &= ~viol
-
-        # executed(k) <=> k <= L, L = last atom with a non-empty capture
-        nonempty_suffix = np.zeros((self.n_fields + 1, n), np.bool_)
-        for k in range(self.n_fields - 1, -1, -1):
-            nonempty_suffix[k] = nonempty_suffix[k + 1] | (lens[k] > 0)
-
-        # DBL values: the capture is only the CURSOR span; the atof VALUE
-        # may read past it (whitespace, sign, exponent).  For the common
-        # case — a non-empty digit[.digit] span NOT followed by e/E — the
-        # value is exactly float(capture) (one native Arrow cast).  Only
-        # the divergent rows (empty capture: ws/sign lookahead; lone '.';
-        # an exponent after the span) run the interpreter's lookahead
-        # kernel, and the _ClassIndex it needs is built only then.  Rows
-        # where the field executed but fails the reference's success rule
-        # (val==0 and not starting with '0') would make the line malformed
-        # mid-parse — route those to the interpreter instead of modelling
-        # the failure here.
-        dbl_vals: dict[int, np.ndarray] = {}
-        dbl_cols = [(i, f) for _n, i, f in self.columns if f.ftype == FieldType.DBL]
-        if dbl_cols and ok.any():
-            from logray.vparse import _ClassIndex, parse_dbl_value_at
-
-            cidx = None
-            for idx, f in dbl_cols:
-                fstart = starts + (ends[idx - 1] if idx > 0 else 0)
-                cap = caps[idx]
-                executed = nonempty_suffix[idx]
-                next_b = padded[np.minimum(starts + ends[idx], len(data))]
-                lone_dot = np.asarray(pc.fill_null(pc.equal(cap, "."), False))
-                need_kernel = executed & ok & (
-                    (lens[idx] == 0) | lone_dot
-                    | (next_b == ord("e")) | (next_b == ord("E"))
-                )
-                # rows already rejected (~ok) keep garbage captures (e.g.
-                # empty) — feed the cast a literal zero for them too
-                cast_in = pc.if_else(
-                    pa.array(need_kernel | ~executed | ~ok),
-                    pa.scalar("0", pa.string()),
-                    pc.fill_null(cap, "0"),
-                )
-                val = np.asarray(pc.cast(cast_in, pa.float64()), np.float64).copy()
-                first_b = padded[np.minimum(fstart, len(data))]
-                okv = (val != 0.0) | (first_b == ord("0"))
-                if need_kernel.any():
-                    if cidx is None:
-                        cidx = _ClassIndex(data, row_ends=row_ends)
-                    sel = np.flatnonzero(need_kernel)
-                    v2, ok2 = parse_dbl_value_at(cidx, fstart[sel], row_ends[sel])
-                    val[sel] = v2
-                    okv[sel] = ok2
-                dbl_vals[idx] = val
-                ok &= ~(executed & ~okv)
-
-        use_np = ~ok
-        out: dict[str, pa.Array] = {}
-        sub_cols = None
-        if use_np.any():
-            sub = texts.filter(pa.array(use_np))
-            sub_cols = interpreter(sub)
-
-        re2_mask = pa.array(ok)
-        scatter_idx = np.cumsum(use_np) - 1
-
-        for name, idx, f in self.columns:
-            cap = caps[idx]
-            executed = pa.array(nonempty_suffix[idx])
-            if f.ftype == FieldType.INT:
-                fast = pc.cast(pc.if_else(executed, pc.fill_null(cap, "0"), "0"), pa.int64())
-                fast = pc.if_else(executed, fast, pa.scalar(None, pa.int64()))
-            elif f.ftype == FieldType.DBL:
-                vals = pa.array(dbl_vals.get(idx, np.zeros(n, np.float64)), pa.float64())
-                fast = pc.if_else(executed, vals, pa.scalar(None, pa.float64()))
-            elif f.ftype == FieldType.CHR:
-                fast = pc.if_else(
-                    executed, pa.scalar(f.target, pa.string()), pa.scalar(None, pa.string())
-                )
-            else:  # STR: value may legitimately be ""
-                fast = pc.if_else(executed, pc.fill_null(cap, ""), pa.scalar(None, pa.string()))
-            fast = pc.if_else(re2_mask, fast, pa.scalar(None, fast.type))
-            out[name] = fast
-        out["well_formatted"] = pc.if_else(re2_mask, True, pa.scalar(None, pa.bool_()))
-
-        if sub_cols is not None:
-            for name in out:
-                out[name] = _scatter(out[name], sub_cols[name], use_np, scatter_idx)
-        else:
-            out["well_formatted"] = pc.fill_null(out["well_formatted"], True)
-        return out
-
-
-def _scatter(fast: pa.Array, slow: pa.Array, use_np: np.ndarray, scatter_idx: np.ndarray) -> pa.Array:
-    """Merge: rows where use_np take slow[scatter_idx], else fast."""
-    if isinstance(slow, pa.ChunkedArray):
-        slow = slow.combine_chunks()
-    take_idx = np.where(use_np, scatter_idx, 0)
-    slow_aligned = (
-        pc.take(slow, pa.array(take_idx)) if len(slow) else pa.nulls(len(fast), fast.type)
-    )
-    return pc.if_else(pa.array(use_np), slow_aligned, fast)
+    def parse_array(self, texts, interpreter=None):
+        return super().parse_array(texts)

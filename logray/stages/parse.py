@@ -5,6 +5,11 @@ per line (filtered_file_reader.cpp:103-106); here the compiled
 :class:`~logray.vparse.VectorParser` lives in actor state — built once per
 actor in ``__init__``, applied per Arrow batch in ``__call__`` — via
 ``ds.map_batches(ParseBatch, batch_format="pyarrow", concurrency=N)``.
+Each batch is one call into the compiled line scanner (``logray/scan.c``),
+or into the numpy interpreter where no compiler is available
+(``ParseBatch(...).vp.path`` says which).  A ``ParseBatch`` holds only
+picklable state, so it ships into Ray's fused read task; the scanner
+library is loaded once per worker process.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ class ParseBatch:
     """Callable-class batch parser for ``map_batches`` actor pools.
 
     ``__init__`` (once per actor) compiles the format string; ``__call__``
-    (per batch) runs the vectorized interpreter and appends the extracted
-    field columns + ``well_formatted``.
+    (per batch) runs the parser and appends the extracted field columns +
+    ``well_formatted``.
     """
 
     def __init__(self, format_string: str, text_col: str = "text", normalize: bool = False):

@@ -1,11 +1,17 @@
-"""Vectorized line parser: a numpy instruction interpreter over Arrow buffers.
+"""Vectorized line parser: the compiled scanner, with a numpy instruction
+interpreter over Arrow buffers as its fallback.
 
-The reference executes a compiled instruction vector per line
-(/root/reference/src/line_parsing/line_parser.cpp:58-98).  We keep the
-instruction-vector idea but flip the loop: instead of iterating instructions
-per line, each instruction executes **once per batch across all rows
-simultaneously** as numpy kernels over the raw UTF-8 buffer of an Arrow
-string array (zero-copy out of the Ray object store).
+The reference executes a compiled instruction vector per line (its
+line_parser.cpp:58-98).  :meth:`VectorParser.parse_array` runs that loop in
+C (``scan.c``, built and loaded by :mod:`logray.scan`): one call per batch
+walks every row by sequential maximal munch and writes the Arrow validity,
+value, offset and data buffers directly.  When no compiler is available it runs the
+interpreter below instead, which is also the suite's second oracle.
+
+The interpreter flips the loop: instead of iterating instructions per line,
+each instruction executes **once per batch across all rows simultaneously**
+as numpy kernels over the raw UTF-8 buffer of an Arrow string array
+(zero-copy out of the Ray object store).
 
 Per batch we hold:
 
@@ -21,17 +27,20 @@ Each instruction advances ``pos`` for the rows where it executes
 after pos, capped at row end"), so cost is O(batch bytes) per byte class
 plus O(rows log positions) per instruction — no Python-per-row work.
 
-Semantics are bit-identical to :mod:`logray.oracle` (the scalar
+Both paths are bit-identical to :mod:`logray.oracle` (the scalar
 specification), which the test-suite fuzz-verifies; see that module for the
 atol/atof/stop-mode rules being implemented.
 """
 
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from logray import scan
 from logray.formats import Field, FieldType, LineFormat, StrStop
 
 INT64_MAX = np.iinfo(np.int64).max
@@ -86,6 +95,17 @@ def _string_buffer_views(arr: pa.Array) -> tuple[np.ndarray, np.ndarray, np.ndar
         nulls = np.asarray(pc.is_null(arr))
         ends = np.where(nulls, starts, ends)
     return data, starts, ends
+
+
+def _check_size(data: np.ndarray) -> None:
+    """Both paths index a batch with int32 positions or offsets; batches
+    this large are an operational error — re-batch upstream (map_batches
+    batch_size)."""
+    if len(data) >= 2**31:
+        raise ValueError(
+            f"parse batch value buffer is {len(data)} bytes (>= 2 GiB); "
+            "reduce batch_size so per-batch text stays below 2 GiB"
+        )
 
 
 class _ClassIndex:
@@ -175,29 +195,24 @@ def _first_at_or_after(positions: np.ndarray, pos: np.ndarray, end: np.ndarray) 
     return np.where(idx < len(positions), np.minimum(cand, end), end)
 
 
-def _digits_to_int64(data_padded: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Vectorized base-10 conversion of digit runs [a, b); saturates at int64
-    bounds for runs longer than 18 digits (strtol saturation)."""
+def _digits_to_int64(data_padded: np.ndarray, a: np.ndarray, b: np.ndarray, neg: np.ndarray) -> np.ndarray:
+    """Vectorized base-10 conversion of digit runs [a, b), negated where
+    ``neg``; runs longer than 18 digits saturate the SIGNED value at int64
+    bounds (strtol: ``-9223372036854775808`` is representable)."""
     runlen = b - a
     maxlen = int(runlen.max()) if len(runlen) else 0
     val = np.zeros(len(a), np.int64)
-    if maxlen <= 18:
-        for k in range(maxlen):
-            m = (a + k) < b
-            if not m.any():
-                break
-            val[m] = val[m] * 10 + (data_padded[a[m] + k].astype(np.int64) - 48)
-        return val
-    # rare: long runs — compute exactly with Python ints, saturating
     short = runlen <= 18
     for k in range(min(maxlen, 18)):
         m = short & ((a + k) < b)
-        if m.any():
-            val[m] = val[m] * 10 + (data_padded[a[m] + k].astype(np.int64) - 48)
+        if not m.any():
+            break
+        val[m] = val[m] * 10 + (data_padded[a[m] + k].astype(np.int64) - 48)
+    val = np.where(neg, -val, val)
+    # rare: long runs — compute exactly with Python ints, saturating
     for i in np.flatnonzero(~short):
-        s = bytes(data_padded[a[i] : b[i]]).decode()
-        v = int(s) if s else 0
-        val[i] = max(INT64_MIN, min(INT64_MAX, v))
+        v = int(bytes(data_padded[a[i] : b[i]]).decode())
+        val[i] = max(INT64_MIN, min(INT64_MAX, -v if neg[i] else v))
     return val
 
 
@@ -210,9 +225,8 @@ def parse_dbl_value_at(cidx: _ClassIndex, p: np.ndarray, e: np.ndarray):
     parsing_basics.cpp:15-22.  Returns ``(val float64, ok bool)`` with the
     reference's success rule ``ok = (val != 0) or line[p] == '0'``.
 
-    Shared by the numpy interpreter and the RE2 fast path (which captures
-    the cursor span by regex but must recompute the value with this
-    bounded lookahead)."""
+    The numpy interpreter's DBL kernel; ``scan.c``'s ``atof_at`` is its
+    compiled twin."""
     dp = cidx.padded
     total = len(cidx.data)
     sk = _first_at_or_after(cidx.non_c_space(), p, e)
@@ -247,33 +261,54 @@ class VectorParser:
     """
 
     def __init__(self, fmt: LineFormat, enable_re2: bool = True) -> None:
+        """``enable_re2`` asks for the compiled scanner (:mod:`logray.scan`);
+        its old name is kept because ``perfbench/layers.py`` passes
+        ``enable_re2=False`` to time the interpreter alone.  ``path`` records
+        the choice: ``"compiled"``, or ``"interpreter"`` when it is off or
+        the scanner cannot be built here."""
         self.fmt = fmt
         self.named = fmt.named_fields()  # [(name, field, ordinal)]
         self._named_index = {name: fmt._name_to_index[name] for name, _f, _o in self.named}
-        self.re2 = None
-        if enable_re2:
-            from logray.re2path import Re2Parser, compile_re2
-
-            compiled = compile_re2(fmt)
-            if compiled is not None:
-                self.re2 = Re2Parser(fmt, compiled)
+        # picklable state only: the library handle is resolved per process
+        self.program = scan.program(fmt)
+        self.path = "compiled" if enable_re2 and scan.library() is not None else "interpreter"
 
     # -- core --------------------------------------------------------------
 
     def parse_array(self, texts) -> dict[str, pa.Array]:
         """Parse a string array; returns {field_name: pa.Array} for every
         named field plus 'well_formatted' (bool).  Fields of malformed rows
-        and fields that never executed are null.
-
-        When the format qualifies for the RE2 fast path (logray.re2path)
-        the bulk of rows go through one native extract_regex call and only
-        non-matching / CR / overflow rows hit the numpy interpreter."""
-        if self.re2 is not None:
-            return self.re2.parse_array(
-                texts.combine_chunks() if isinstance(texts, pa.ChunkedArray) else texts,
-                self._parse_array_interp,
-            )
-        return self._parse_array_interp(texts)
+        and fields that never executed are null."""
+        lib = scan.library() if self.path == "compiled" else None
+        if lib is None:
+            return self._parse_array_interp(texts)
+        data, start, end = _string_buffer_views(texts)
+        _check_size(data)
+        n = len(start)
+        nbytes = int((end - start).sum())
+        bitmap = lambda: np.zeros((n + 7) // 8, np.uint8)
+        well = bitmap()
+        bufs = []  # per slot: validity, values or offsets, string data
+        for _name, f, _o in self.named:
+            if f.ftype in (FieldType.INT, FieldType.DBL):
+                vals = np.empty(n, np.int64 if f.ftype == FieldType.INT else np.float64)
+                bufs.append((bitmap(), vals, None))
+            else:
+                bufs.append((bitmap(), np.zeros(n + 1, np.int32), np.empty(nbytes, np.uint8)))
+        ptrs = (ctypes.c_void_p * (3 * len(bufs)))(
+            *(None if b is None else b.ctypes.data for slot in bufs for b in slot))
+        rc = lib.logray_scan(data.ctypes.data, start.ctypes.data, end.ctypes.data, n,
+                             self.program.ctypes.data, len(self.program), well.ctypes.data, ptrs)
+        if rc:
+            raise MemoryError("line scanner could not allocate its scratch space")
+        out: dict[str, pa.Array] = {}
+        for (name, f, _o), (valid, vals, text) in zip(self.named, bufs):
+            buffers = [pa.py_buffer(valid), pa.py_buffer(vals)]
+            if text is not None:
+                buffers.append(pa.py_buffer(text[: vals[-1]]))
+            out[name] = pa.Array.from_buffers(LineFormat._ARROW[f.ftype], n, buffers)
+        out["well_formatted"] = pa.Array.from_buffers(pa.bool_(), n, [None, pa.py_buffer(well)])
+        return out
 
     def _parse_array_interp(self, texts) -> dict[str, pa.Array]:
         """The exact numpy instruction interpreter (always available)."""
@@ -281,13 +316,7 @@ class VectorParser:
             texts = texts.combine_chunks()
         n = len(texts)
         data, start, end = _string_buffer_views(texts)
-        if len(data) >= 2**31:
-            # int32 position indexes would wrap; batches this large are an
-            # operational error — re-batch upstream (map_batches batch_size)
-            raise ValueError(
-                f"parse batch value buffer is {len(data)} bytes (>= 2 GiB); "
-                "reduce batch_size so per-batch text stays below 2 GiB"
-            )
+        _check_size(data)
         start = start.astype(np.int32, copy=False)
         end = end.astype(np.int32, copy=False)
         cidx = _ClassIndex(data, row_ends=end)
@@ -320,8 +349,7 @@ class VectorParser:
                 has_sign = in_row & ((sk_b == ord("-")) | (sk_b == ord("+")))
                 dstart = sk + has_sign
                 dend = np.maximum(_first_at_or_after(cidx.nondigit(), dstart, e), dstart)
-                val = _digits_to_int64(dp, dstart, dend)
-                val = np.where(neg, -val, val)
+                val = _digits_to_int64(dp, dstart, dend, neg)
                 ok = (val != 0) | (dp[p] == ord("0"))
                 # cursor: digit run starting exactly at pos
                 newp = _first_at_or_after(cidx.nondigit(), p, e)
@@ -423,10 +451,8 @@ class VectorParser:
     def _parse_float_tokens(dp, tok_start, tok_end, ndigits) -> np.ndarray:
         """float values for token ranges [tok_start, tok_end); rows with no
         digits get 0.0.  Token text is valid float syntax by construction, so
-        conversion is a vectorized pandas to_numeric over a zero-copy-built
-        arrow array."""
-        import pandas as pd
-
+        conversion is one Arrow cast over a zero-copy-built array, which
+        rounds as Python's float does (overflow to inf, underflow to 0)."""
         has = ndigits > 0
         n = len(tok_start)
         val = np.zeros(n, np.float64)
@@ -442,7 +468,7 @@ class VectorParser:
         arr = pa.LargeStringArray.from_buffers(
             len(s), pa.py_buffer(offs.tobytes()), pa.py_buffer(buf.tobytes())
         )
-        val[has] = pd.to_numeric(arr.to_pandas(), errors="coerce").fillna(0.0).to_numpy(np.float64)
+        val[has] = np.asarray(pc.cast(arr, pa.float64()))
         return val
 
     @staticmethod

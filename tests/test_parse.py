@@ -1,14 +1,42 @@
-"""Parser semantics tests: golden corpus parity (mirrors
-/root/reference/tests/test_line_parser.cpp) + edge-case quirks + a fuzz
-equivalence check of the vectorized interpreter against the scalar oracle."""
+"""Parser semantics tests: golden corpus parity (mirrors the reference's
+tests/test_line_parser.cpp) + edge-case quirks + fuzz
+equivalence checks of both parse paths (the compiled scanner and the numpy
+interpreter) against the scalar oracle."""
+
+import pickle
 
 import numpy as np
 import pyarrow as pa
 import pytest
 
+from logray import scan
 from logray.formats import LineFormat, GOLDEN_FORMAT
 from logray.oracle import parse_line, parse_named
 from logray.vparse import VectorParser
+
+# int64 and float edges: saturation both ways, overflow to inf, underflow
+# to 0, negative zero
+EDGE_TOKENS = [
+    "9223372036854775807", "9223372036854775808", "-9223372036854775808",
+    "99999999999999999999", "1e308", "1e309", "1e-400", "-0.0",
+]
+
+
+def both_paths(fmt):
+    """The compiled parser and the interpreter for ``fmt``; the compiled
+    one must really be compiled (the fallback has its own test)."""
+    compiled = VectorParser(fmt)
+    assert compiled.path == "compiled"
+    return [compiled, VectorParser(fmt, enable_re2=False)]
+
+
+def assert_matches_oracle(cols, lines, fmt, ctx=""):
+    for i, line in enumerate(lines):
+        well, vals = parse_named(line, fmt)
+        assert cols["well_formatted"][i].as_py() == well, (ctx, repr(line))
+        for nm, _f, _o in fmt.named_fields():
+            got, want = cols[nm][i].as_py(), vals[nm]
+            assert got == want and repr(got) == repr(want), (ctx, repr(line), nm, got, want)
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +168,7 @@ FUZZ_FORMATS = [
 
 
 def _random_lines(rng, n):
-    alphabet = list("0123456789 .:x-+abcXYZ[]\t") + ["", "0322 ", "INFO ", "3.14", ":::"]
+    alphabet = list("0123456789 .:x-+abcXYZ[]\t") + ["", "0322 ", "INFO ", "3.14", ":::"] + EDGE_TOKENS
     out = []
     for _ in range(n):
         k = rng.integers(0, 12)
@@ -154,20 +182,9 @@ def test_fuzz_vectorized_equals_oracle(fmtstr):
 
     rng = np.random.default_rng(zlib.crc32(fmtstr.encode()))
     fmt = LineFormat.from_format_string(fmtstr)
-    vp = VectorParser(fmt)
     lines = _random_lines(rng, 500)
-    cols = vp.parse_array(pa.array(lines))
-    names = [n for n, _, _ in fmt.named_fields()]
-    for i, line in enumerate(lines):
-        well, vals = parse_named(line, fmt)
-        assert cols["well_formatted"][i].as_py() == well, (fmtstr, repr(line))
-        for nm in names:
-            got = cols[nm][i].as_py()
-            want = vals[nm]
-            if isinstance(want, float) and want is not None and got is not None:
-                assert got == pytest.approx(want, nan_ok=True), (fmtstr, repr(line), nm)
-            else:
-                assert got == want, (fmtstr, repr(line), nm, got, want)
+    for vp in both_paths(fmt):
+        assert_matches_oracle(vp.parse_array(pa.array(lines)), lines, fmt, (fmtstr, vp.path))
 
 
 def test_null_text_treated_as_empty():
@@ -189,12 +206,14 @@ def test_parse_table_appends_columns():
 
 
 # ---------------------------------------------------------------------------
-# RE2 fast-path equivalence (logray.re2path)
+# Adversarial lines, both paths: cases that broke a former regex fast path
+# (backtracked matches, CR/NUL rows, DBL lookahead) and each rule the
+# compiled scanner has to get byte for byte
 # ---------------------------------------------------------------------------
 
 ADVERSARIAL_CASES = [
-    # regex backtracking could "donate" digits/chars across fields; the
-    # maximality verification must reject these to the interpreter
+    # a backtracking matcher could "donate" digits/chars across fields;
+    # sequential maximal munch rejects these
     ("4973xxYa", GOLDEN_FORMAT),
     ("12 34  :..s: m", GOLDEN_FORMAT),  # donated Level parse the reference rejects
     ("68INFO ", GOLDEN_FORMAT),
@@ -205,8 +224,7 @@ ADVERSARIAL_CASES = [
     # unicode NCHAR (character-count semantics)
     ("é¢6", "{STR:A,3}{INT:B}"),
     ("xé¢7", "{STR:A,3}{INT:B}"),
-    # DBL fast path: dot donation (regex backtracks the dot to the CHR
-    # literal; the one-dot maximality rule must reject to the interpreter)
+    # DBL dot donation: the cursor takes the dot, so the CHR literal fails
     ("1.5x", "{DBL:A}{CHR:C,.,0}{STR:B}"),
     # DBL value reads past the cursor span (exponent / sign / whitespace)
     ("1e3z", "{DBL:D}{STR:R}"),
@@ -222,65 +240,67 @@ ADVERSARIAL_CASES = [
 @pytest.mark.parametrize("text,fmtstr", ADVERSARIAL_CASES)
 def test_re2_path_matches_oracle(text, fmtstr):
     fmt = LineFormat.from_format_string(fmtstr)
-    vp = VectorParser(fmt, enable_re2=True)
     # surround with hostile neighbors to catch batch-context bugs
     batch = ["\n.251::", text, "", "9\r", "\n"]
-    cols = vp.parse_array(pa.array(batch))
-    for i, line in enumerate(batch):
-        well, vals = parse_named(line, fmt)
-        assert cols["well_formatted"][i].as_py() == well, (fmtstr, repr(line))
-        for nm, _, _ in fmt.named_fields():
-            assert cols[nm][i].as_py() == vals[nm], (fmtstr, repr(line), nm)
+    for vp in both_paths(fmt):
+        assert_matches_oracle(vp.parse_array(pa.array(batch)), batch, fmt, (fmtstr, vp.path))
 
 
 @pytest.mark.parametrize("fmtstr", FUZZ_FORMATS)
 def test_fuzz_re2_combined_equals_oracle(fmtstr):
-    """Same fuzz as the interpreter suite but through the combined
-    re2+fallback path, with CR/NUL/unicode in the alphabet."""
+    """The fuzz with CR/NUL/unicode and the int64/float edges in the
+    alphabet, through both paths."""
     import zlib
 
     rng = np.random.default_rng(zlib.crc32(fmtstr.encode()) + 1)
     fmt = LineFormat.from_format_string(fmtstr)
-    vp = VectorParser(fmt, enable_re2=True)
-    alphabet = list("0123456789 .:x-+abXY\t\v\r\n") + ["", "::", "..", "\x00", "é¢", "12 34  :..s: m"]
+    alphabet = list("0123456789 .:x-+abXY\t\v\r\n") + [
+        "", "::", "..", "\x00", "é¢", "12 34  :..s: m"] + EDGE_TOKENS
     lines = ["".join(rng.choice(alphabet) for _ in range(rng.integers(0, 10))) for _ in range(400)]
-    cols = vp.parse_array(pa.array(lines))
-    for i, line in enumerate(lines):
-        well, vals = parse_named(line, fmt)
-        assert cols["well_formatted"][i].as_py() == well, (fmtstr, repr(line))
-        for nm in (n for n, _, _ in fmt.named_fields()):
-            got, want = cols[nm][i].as_py(), vals[nm]
-            if isinstance(want, float) and got is not None:
-                assert got == pytest.approx(want, nan_ok=True)
-            else:
-                assert got == want, (fmtstr, repr(line), nm)
+    for vp in both_paths(fmt):
+        assert_matches_oracle(vp.parse_array(pa.array(lines)), lines, fmt, (fmtstr, vp.path))
 
 
 def test_re2_dbl_fast_path_active():
-    """DBL formats now qualify for the RE2 fast path: clean rows must NOT
-    fall back to the interpreter, and values/flags must match the oracle."""
+    """DBL formats run on the compiled scanner, and its values and flags
+    match the oracle."""
     fmt = LineFormat.from_format_string("{INT:A} {DBL:B} {STR:C}")
-    vp = VectorParser(fmt, enable_re2=True)
-    assert vp.re2 is not None
-
+    vp = VectorParser(fmt)
+    assert vp.path == "compiled"
     lines = [f"{i} {i / 100:.2f} tail{i}" for i in range(1000)]
-    fallback_rows = {"n": 0}
-
-    def counting_interp(sub):
-        fallback_rows["n"] += len(sub)
-        return vp._parse_array_interp(sub)
-
-    cols = vp.re2.parse_array(pa.array(lines), counting_interp)
-    assert fallback_rows["n"] == 0
+    cols = vp.parse_array(pa.array(lines))
     assert cols["well_formatted"].to_pylist() == [True] * 1000
     for i in (0, 1, 57, 999):
-        assert cols["B"][i].as_py() == pytest.approx(i / 100)
+        assert cols["B"][i].as_py() == i / 100
         assert cols["A"][i].as_py() == i
+    assert_matches_oracle(cols, lines, fmt)
+
+
+def test_int_overflow_row_saturates():
+    """An INT at or above 2**63 among good lines saturates instead of
+    failing the batch, as atol (and the oracle) does."""
+    fmt = LineFormat.from_format_string(GOLDEN_FORMAT)
+    good = "0322 085338 TRACE  :..router: hello"
+    for big in ("99999999999999999999", "9223372036854775808"):
+        lines = [good, f"{big} 000001 INFO  :..evt_1: val=5", good]
+        for vp in both_paths(fmt):
+            cols = vp.parse_array(pa.array(lines))
+            assert cols["Date"].to_pylist() == [322, 2**63 - 1, 322], vp.path
+            assert cols["well_formatted"].to_pylist() == [True] * 3, vp.path
+            assert_matches_oracle(cols, lines, fmt, vp.path)
+
+
+def test_negative_int_saturates_to_int64_min():
+    fmt = LineFormat.from_format_string("{INT:A}{STR:B}")
+    lines = ["-9223372036854775808x", "-99999999999999999999x", "-9223372036854775807x"]
+    for vp in both_paths(fmt):
+        cols = vp.parse_array(pa.array(lines))
+        assert cols["A"].to_pylist() == [-(2**63), -(2**63), -(2**63) + 1], vp.path
+        assert_matches_oracle(cols, lines, fmt, vp.path)
 
 
 def test_fuzz_random_formats_combined_equals_oracle():
-    """Random FORMATS x random lines: the combined re2+interpreter path must
-    match the oracle for arbitrary field layouts (greedy adjacency, NCHAR
+    """Random FORMATS x random lines: both paths must match the oracle for arbitrary field layouts (greedy adjacency, NCHAR
     windows, repeats, delimiters), not just the curated formats above."""
     import zlib
 
@@ -312,7 +332,7 @@ def test_fuzz_random_formats_combined_equals_oracle():
                 parts.append(str(rng.choice(["[", "]", "=", "a"])))
         return "".join(parts)
 
-    alphabet = list("0123456789 .:x=[]ab\t\r\n") + ["", "::", "..", "\x00", "12 "]
+    alphabet = list("0123456789 .:x=[]ab\t\r\n") + ["", "::", "..", "\x00", "12 "] + EDGE_TOKENS
 
     checked = 0
     for _ in range(30):
@@ -321,18 +341,12 @@ def test_fuzz_random_formats_combined_equals_oracle():
             fmt = LineFormat.from_format_string(fmtstr)
         except Exception:
             continue
-        vp = VectorParser(fmt, enable_re2=True)
-        names = [n for n, _, _ in fmt.named_fields()]
         lines = [
             "".join(rng.choice(alphabet) for _ in range(rng.integers(0, 8)))
             for _ in range(200)
         ]
-        cols = vp.parse_array(pa.array(lines))
-        for i, line in enumerate(lines):
-            well, vals = parse_named(line, fmt)
-            assert cols["well_formatted"][i].as_py() == well, (fmtstr, repr(line))
-            for nm in names:
-                assert cols[nm][i].as_py() == vals[nm], (fmtstr, repr(line), nm)
+        for vp in both_paths(fmt):
+            assert_matches_oracle(vp.parse_array(pa.array(lines)), lines, fmt, (fmtstr, vp.path))
         checked += 1
     assert checked >= 20  # most random formats compile
 
@@ -344,23 +358,17 @@ def test_fuzz_random_formats_combined_equals_oracle():
 try:
     from hypothesis import given, settings, strategies as st
 
-    _LINE = st.text(
-        alphabet=st.sampled_from(list("0123456789 .:x-+abXY\t\v\r\n\x00é")),
+    _LINE = st.lists(
+        st.sampled_from(list("0123456789 .:x-+abXY\t\v\r\n\x00é") + EDGE_TOKENS),
         max_size=40,
-    )
+    ).map("".join)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(_LINE, min_size=1, max_size=20))
     def test_property_parser_equals_oracle(lines):
         fmt = LineFormat.from_format_string(GOLDEN_FORMAT)
-        vp = VectorParser(fmt, enable_re2=True)
-        cols = vp.parse_array(pa.array(lines))
-        names = [n for n, _, _ in fmt.named_fields()]
-        for i, line in enumerate(lines):
-            well, vals = parse_named(line, fmt)
-            assert cols["well_formatted"][i].as_py() == well, repr(line)
-            for nm in names:
-                assert cols[nm][i].as_py() == vals[nm], (repr(line), nm)
+        for vp in both_paths(fmt):
+            assert_matches_oracle(vp.parse_array(pa.array(lines)), lines, fmt, vp.path)
 
 except ImportError:  # pragma: no cover
     pass
@@ -381,3 +389,43 @@ def test_sliced_and_chunked_input():
     got2 = vp.parse_array(chunked)
     assert got2["A"].to_pylist() == [1, None, 3]
     assert got2["well_formatted"].to_pylist() == [True, False, True]
+
+
+# ---------------------------------------------------------------------------
+# Pickling and the no-compiler fallback
+# ---------------------------------------------------------------------------
+
+MIXED = pa.array(["skip", "0322 085338 TRACE  :..src: m", None, "bad line", "",
+                  "9 1 INFO :.x: y\r\n", "12 34  :..s: m", "0322 085338 INFO  :..é: ü"]).slice(1)
+
+
+def test_parse_batch_pickles():
+    """ParseBatch ships into Ray's fused read task, so it must pickle and
+    the copy must parse like the original."""
+    from logray.stages.parse import ParseBatch
+
+    pb = ParseBatch(GOLDEN_FORMAT)
+    copy = pickle.loads(pickle.dumps(pb))
+    assert copy.vp.path == pb.vp.path == "compiled"
+    t = pa.table({"text": MIXED})
+    assert copy(t).equals(pb(t))
+
+
+def test_fallback_without_compiler(tmp_path, monkeypatch):
+    """No ``cc`` on PATH and an empty cache dir: the scanner cannot be built,
+    so parsers use the interpreter, with the same output, including a
+    parser that chose the compiled path where it could be built."""
+    fmt = LineFormat.from_format_string(GOLDEN_FORMAT)
+    compiled = VectorParser(fmt)
+    want = pa.table(compiled.parse_array(MIXED))
+    assert want.schema == fmt.arrow_schema()
+    monkeypatch.setenv("PATH", str(tmp_path / "bin"))
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    scan.library.cache_clear()
+    try:
+        vp = VectorParser(fmt)
+        assert scan.library() is None and vp.path == "interpreter"
+        assert pa.table(vp.parse_array(MIXED)).equals(want)
+        assert pa.table(compiled.parse_array(MIXED)).equals(want)
+    finally:
+        scan.library.cache_clear()

@@ -50,6 +50,7 @@ def test_run_pipeline_counts_match_oracle(ray_session, tmp_path):
     assert metrics["routes"]["malformed"] == want["malformed"]
     assert metrics["turns_total"] == table.num_rows
     assert metrics["turns_per_conv_max"] >= 200  # the hot conversation
+    assert metrics["parse_path"] == "compiled"
     assert os.path.exists(tmp_path / "metrics.json")
     # partitioned sink layout: one directory per route
     dirs = {d for d in os.listdir(tmp_path / "routed")}
