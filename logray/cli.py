@@ -376,11 +376,12 @@ def cmd_collocations(args) -> int:
     import ray.data as rd
 
     from logray.functions.collocations import pmi_collocations
+    from logray.state.manifest import publish
 
     ds = rd.read_parquet(args.input, columns=[args.text_col])
     out = pmi_collocations(ds, args.text_col, min_count=args.min_count,
                            n_top=args.top)
-    pq.write_table(out, args.out)
+    publish(args.out, lambda tmp: pq.write_table(out, tmp))
     print(json.dumps({"pairs": out.num_rows, "min_count": args.min_count}))
     return 0
 

@@ -289,6 +289,7 @@ def build_ivf_index(ds, path: str, n_lists: int = 16, emb_col: str = "embedding"
     import ray
 
     from logray.functions.sample import sample_uniform
+    from logray.state.manifest import publish, publish_text
 
     sample_rows = []
     sch = ds.schema()
@@ -320,16 +321,15 @@ def build_ivf_index(ds, path: str, n_lists: int = 16, emb_col: str = "embedding"
                     batch_format="pyarrow", zero_copy_batch=True,
                     concurrency=(1, 8))
        .write_parquet(os.path.join(path, "data"), partition_cols=["ivf_list"]))
-    pq.write_table(
-        pa.table({"list_id": pa.array(range(len(centroids)), pa.int64()),
-                  "centroid": pa.array([c.tolist() for c in centroids],
-                                       pa.list_(pa.float64()))}),
-        os.path.join(path, "centroids.parquet"))
+    ctab = pa.table({"list_id": pa.array(range(len(centroids)), pa.int64()),
+                     "centroid": pa.array([c.tolist() for c in centroids],
+                                          pa.list_(pa.float64()))})
+    publish(os.path.join(path, "centroids.parquet"),
+            lambda tmp: pq.write_table(ctab, tmp))
     manifest = {"n_lists": int(len(centroids)), "dim": int(centroids.shape[1]),
                 "emb_col": emb_col, "id_col": id_col, "rows": int(n_total),
                 "seed": seed}
-    with open(os.path.join(path, "manifest.json"), "w") as f:
-        json.dump(manifest, f)
+    publish_text(os.path.join(path, "manifest.json"), json.dumps(manifest))
     return manifest
 
 

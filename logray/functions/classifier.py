@@ -222,13 +222,12 @@ def fit_logreg(ds, label_col: str, text_col: str = "text", dim: int = 4096,
 
 def _save_fit_checkpoint(path, cfg, w, b, vw, vb, losses, epoch) -> None:
     import json
-    import os
 
-    tmp = f"{path}.tmp.npz"
-    np.savez(tmp.removesuffix(".npz"), __kind="logreg_fit_ckpt",
-             cfg=json.dumps(cfg, sort_keys=True), epoch=epoch,
-             w=w, b=b, vw=vw, vb=vb, losses=np.asarray(losses))
-    os.replace(tmp, path)  # atomic publish
+    from logray.state.artifacts import _savez
+
+    _savez(path, __kind="logreg_fit_ckpt",
+           cfg=json.dumps(cfg, sort_keys=True), epoch=epoch,
+           w=w, b=b, vw=vw, vb=vb, losses=np.asarray(losses))
 
 
 def _load_fit_checkpoint(path, cfg):

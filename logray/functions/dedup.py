@@ -735,15 +735,6 @@ def embedding_dedup(ds, emb_col: str = "embedding", id_col: str = "vec_id",
     return _distinct_pairs(pairs)
 
 
-_LABEL_SCHEMA = pa.schema([("doc_id", pa.int64()), ("label", pa.int64())])
-
-
-def _typed_labels(t: pa.Table) -> pa.Table:
-    if t.num_rows == 0:
-        return _LABEL_SCHEMA.empty_table()
-    return t.select(["doc_id", "label"]).cast(_LABEL_SCHEMA)
-
-
 @ray.remote(num_cpus=0)
 class _CCShard(VertexShard):
     """Connected-components kernel: one hash partition of the

@@ -11,6 +11,8 @@ import glob
 import json
 import os
 
+from logray.state.manifest import publish, publish_text
+
 __all__ = ["write_meta", "read_meta", "shard_files",
            "shard_values", "total_index_rows", "detect_shard_key",
            "compact_index"]
@@ -19,8 +21,7 @@ META_NAME = "index.json"
 
 
 def write_meta(out_dir: str, meta: dict) -> None:
-    with open(os.path.join(out_dir, META_NAME), "w") as f:
-        json.dump(meta, f)
+    publish_text(os.path.join(out_dir, META_NAME), json.dumps(meta))
 
 
 def read_meta(index_dir: str, kind: str) -> dict:
@@ -127,25 +128,20 @@ def compact_index(index_dir: str, out_dir: str,
 
         if not files:  # a shard dir with no parquet yet: nothing to do
             return 0, 0
-        os.makedirs(os.path.dirname(dst), exist_ok=True)
-        tmp = dst + ".tmp"
-        writer = None
-        rows = 0
-        try:
-            for f in files:
-                pf = pq.ParquetFile(f)
-                for rg in range(pf.num_row_groups):
-                    t = pf.read_row_group(rg)
-                    if writer is None:
-                        writer = pq.ParquetWriter(tmp, t.schema,
-                                                  compression="zstd")
-                    rows += t.num_rows
-                    writer.write_table(t)
-        finally:
-            if writer is not None:
-                writer.close()
-        os.replace(tmp, dst)
-        return rows, len(files)
+
+        def write(tmp):
+            rows = 0
+            with pq.ParquetWriter(tmp, pq.read_schema(files[0]),
+                                  compression="zstd") as writer:
+                for f in files:
+                    pf = pq.ParquetFile(f)
+                    for rg in range(pf.num_row_groups):
+                        t = pf.read_row_group(rg)
+                        rows += t.num_rows
+                        writer.write_table(t)
+            return rows
+
+        return publish(dst, write), len(files)
 
     outs = ray.get([compact_shard.remote(
         shard_files(index_dir, key, v),

@@ -32,15 +32,6 @@ logger = logging.getLogger("logray.multimodal")
 
 DEFAULT_BATCH_SIZE = 256
 
-MEDIA_SCHEMA = pa.schema(
-    [
-        pa.field("media_id", pa.int64()),
-        pa.field("mime", pa.string()),
-        pa.field("payload", pa.binary()),
-        pa.field("nbytes", pa.int64()),
-    ]
-)
-
 
 def synth_media_table(n: int = 64, seed: int = 42, payload_bytes: int = 4096) -> pa.Table:
     """Deterministic fake media corpus (opaque byte blobs + metadata)."""

@@ -46,8 +46,6 @@ from logray.functions.dedup import DEFAULT_MAX_BUCKET, _broadcast_id_filter, _ca
 
 __all__ = ["semdedup_verdicts", "semdedup_keep"]
 
-_VERDICT_COLS = ("cluster", "kept", "max_sim")
-
 
 def _finite_rows(m: np.ndarray) -> np.ndarray:
     """Zero out rows with any non-finite component: a corrupt (NaN/inf)

@@ -34,6 +34,7 @@ file) is exactly what this replaces at scale.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 
@@ -42,6 +43,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from logray.functions.sample import _M31, _det_hash
+from logray.state.manifest import RunManifest, check_run_config, publish_text, run_resumable
 
 # conservative fixed per-row cost of the non-payload scalar columns
 ROW_OVERHEAD_BYTES = 16
@@ -124,8 +126,6 @@ def _committed_shard_files(out_dir: str, shard: int | None) -> list[str]:
     crashed attempt — reading those returns partial/duplicate rows."""
     import glob as _glob
 
-    from logray.state.manifest import RunManifest
-
     mf = RunManifest(os.path.join(out_dir, "shards"))
     pattern = f"shard={shard}" if shard is not None else "shard=*"
     files: list[str] = []
@@ -196,9 +196,6 @@ def rebalance_shards_resumable(input_path: str, out_dir: str,
     """
     import ray.data as rd
 
-    from logray.state.manifest import (RunManifest, check_run_config,
-                                       run_resumable)
-
     if target_bytes <= 0:
         raise ValueError("target_bytes must be positive")
 
@@ -241,18 +238,13 @@ def rebalance_shards_resumable(input_path: str, out_dir: str,
     # exist it must never change (a grown input would otherwise recompute
     # a larger n_shards and assign new files inconsistently) — persist it
     # next to run_config on first computation, reuse forever after
-    import json
-
     plan_path = os.path.join(out_dir, "shard_plan.json")
     if os.path.exists(plan_path):
         with open(plan_path) as f:
             n_shards = int(json.load(f)["n_shards"])
     else:
         n_shards = max(min_shards, math.ceil(total / target_bytes))
-        tmp_plan = plan_path + ".tmp"
-        with open(tmp_plan, "w") as f:
-            json.dump({"n_shards": n_shards, "census_bytes": total}, f)
-        os.replace(tmp_plan, plan_path)
+        publish_text(plan_path, json.dumps({"n_shards": n_shards, "census_bytes": total}))
 
     # --- phase 2: tag + hive write per input file -------------------------
     def run_write(files, tmp, part_id=None):

@@ -27,6 +27,8 @@ import numpy as np
 import pyarrow as pa
 import ray
 
+from logray.state.manifest import RunManifest, batch_id, check_run_config, publish
+
 
 def owner(v: np.ndarray, num_shards: int) -> np.ndarray:
     """Shard owner of a vertex id: multiplicative hash partition, the
@@ -69,13 +71,11 @@ class VertexShard:
     - ``RESULT``: ``(name, arrow type)`` of the result columns after the
       node id, filled by the kernel's ``_result()``;
     - ``DISTINCT_EDGES``: the kernel keeps only the distinct edge set
-      (:meth:`_sorted_edges` dedups).  This is also the push retry
-      policy: on a distinct edge set a replayed push batch cannot change
-      the result, so the push task keeps Ray's default retries and a
-      worker lost mid-push does not fail the job.  A multiset kernel
-      would double a replayed batch's edges and silently skew the
-      result, so its push runs ``max_retries=0`` and fails loudly
-      instead; the job restarts clean.
+      (:meth:`_sorted_edges` dedups); the others keep the multiset.
+
+    A retried push task replays batches: each slice carries its batch's
+    :func:`~logray.state.manifest.batch_id` and :meth:`add` keeps the
+    first copy, so every kernel stays exact under Ray's retries.
     """
 
     STATE: tuple[str, ...] = ()
@@ -85,17 +85,18 @@ class VertexShard:
 
     def __init__(self, num_shards: int):
         self.B = num_shards
-        self._buf: dict[str, list] = {}
+        self._buf: dict[str, dict] = {}
 
-    def add(self, kind: str, *cols) -> int:
-        """Buffer one pushed slice of ``kind`` rows until build."""
-        self._buf.setdefault(kind, []).append(cols)
+    def add(self, kind: str, bid: tuple, *cols) -> int:
+        """Buffer one pushed slice of ``kind`` rows until build; a
+        replayed slice (same ``kind`` and batch id ``bid``) is dropped."""
+        self._buf.setdefault(kind, {}).setdefault(bid, cols)
         return len(cols[0])
 
     def _take(self, kind: str, *dtypes) -> list[np.ndarray]:
         """Concatenate and release the buffered ``kind`` columns (empty
         arrays of ``dtypes`` when this shard received none)."""
-        parts = self._buf.pop(kind, [])
+        parts = list(self._buf.pop(kind, {}).values())
         return [np.concatenate([p[j] for p in parts]) if parts
                 else np.zeros(0, dt) for j, dt in enumerate(dtypes)]
 
@@ -135,14 +136,12 @@ class VertexShard:
         return len(self.src)
 
     def dump_state(self, path: str) -> int:
-        """Atomic per-shard checkpoint write (tmp + rename)."""
+        """Atomic per-shard checkpoint write."""
         import pyarrow.parquet as pq
 
         t = pa.table({"node": pa.array(self.verts),
                       **{c: pa.array(getattr(self, c)) for c in self.STATE}})
-        tmp = f"{path}.{os.getpid()}.tmp"
-        pq.write_table(t, tmp)
-        os.replace(tmp, path)
+        publish(path, lambda tmp: pq.write_table(t, tmp))
         return t.num_rows
 
     def load_state(self, path: str) -> int:
@@ -218,8 +217,6 @@ class ShardRun:
         if checkpoint_every < 1:
             raise ValueError(
                 f"checkpoint_every must be >= 1, got {checkpoint_every}")
-        from logray.state.manifest import RunManifest, check_run_config
-
         check_run_config(ckpt_dir, plan)
         self.man = RunManifest(ckpt_dir)
         self.every = checkpoint_every
@@ -241,6 +238,7 @@ class ShardRun:
         shards = self.shards = [self.kernel.remote(B) for _ in range(B)]
 
         def push(t: pa.Table) -> pa.Table:
+            bid = batch_id()
             acks = []
             for kind, key, cols in routes(t):
                 own = owner(key, B)
@@ -248,14 +246,11 @@ class ShardRun:
                     m = own == j
                     if m.any():
                         acks.append(shards[j].add.remote(
-                            kind, *(c[m] for c in cols)))
+                            kind, bid, *(c[m] for c in cols)))
             ray.get(acks)
             return pa.table({"n": pa.array([t.num_rows], pa.int64())})
 
-        # a replayed batch is a no-op only on a distinct edge set
-        retry = {} if self.kernel.DISTINCT_EDGES else {"max_retries": 0}
-        edges.map_batches(push, batch_format="pyarrow",
-                          **retry).materialize()
+        edges.map_batches(push, batch_format="pyarrow").materialize()
 
     def build(self, *args) -> int:
         """Freeze every shard's edges; returns the total vertex count."""

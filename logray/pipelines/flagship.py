@@ -83,15 +83,20 @@ def run_pipeline(ds, cfg: PipelineConfig, out_dir: str, write_metrics: bool = Tr
     (:class:`~logray.stages.route.RouteSinkWriter`): each batch writes its
     rows into ``route=<name>/`` Parquet files and emits metric partials,
     which stream to the driver for the final fold — no second scan of
-    either the input or the written sinks."""
+    either the input or the written sinks.  Sink file names repeat from
+    run to run, so a non-empty ``<out_dir>/routed/`` is refused."""
     import pyarrow.compute as pc
 
     from logray.stages.aggregate import fold_partials_stream
     from logray.stages.route import RouteSinkWriter
+    from logray.state.manifest import publish_text
 
+    sink_dir = os.path.join(out_dir, "routed")
+    if os.path.exists(sink_dir) and os.listdir(sink_dir):
+        raise ValueError(f"run_pipeline: sink directory {sink_dir!r} is non-empty — "
+                         "refusing to mix runs; run into a fresh out_dir")
     t0 = time.perf_counter()
     tagged = build(ds, cfg)
-    sink_dir = os.path.join(out_dir, "routed")
     os.makedirs(sink_dir, exist_ok=True)
 
     agg_cols = ["route", cfg.conv_col]
@@ -140,8 +145,8 @@ def run_pipeline(ds, cfg: PipelineConfig, out_dir: str, write_metrics: bool = Tr
     metrics["write_seconds"] = round(write_s, 3)
     metrics["total_seconds"] = round(time.perf_counter() - t0, 3)
     if write_metrics:
-        with open(os.path.join(out_dir, "metrics.json"), "w") as f:
-            json.dump(metrics, f, indent=2, default=str)
+        publish_text(os.path.join(out_dir, "metrics.json"),
+                     json.dumps(metrics, indent=2, default=str))
     return metrics
 
 

@@ -2,8 +2,9 @@
 
 The C file is compiled once per machine with the system ``cc`` into
 ``$XDG_CACHE_HOME/logray`` (default ``~/.cache/logray``), named by the
-sha256 of the source and published with tmp + ``os.replace`` so that
-concurrent workers cannot race, then loaded with ``ctypes``.  The handle
+sha256 of the source and committed with
+:func:`~logray.state.manifest.publish` so that concurrent workers cannot
+race, then loaded with ``ctypes``.  The handle
 lives in this module, one per process, so parsers that hold only
 :func:`program` arrays pickle into Ray tasks.  :func:`library` returns
 ``None`` when no compiler or cache dir is usable; the caller then runs the
@@ -18,11 +19,11 @@ import hashlib
 import os
 import subprocess
 import sys
-import tempfile
 
 import numpy as np
 
 from logray.formats import FieldType, LineFormat, StrStop
+from logray.state.manifest import publish
 
 _SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "scan.c")
 _OPS = {FieldType.INT: 0, FieldType.DBL: 1, FieldType.CHR: 2, FieldType.WS: 6,
@@ -37,16 +38,8 @@ def library():
         with open(_SRC, "rb") as f:
             path = os.path.join(cache, f"scan-{hashlib.sha256(f.read()).hexdigest()}.so")
         if not os.path.exists(path):
-            os.makedirs(cache, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
-            os.close(fd)
-            try:
-                subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-o", tmp, _SRC],
-                               check=True, capture_output=True)
-                os.replace(tmp, path)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+            cc = ["cc", "-O2", "-shared", "-fPIC", "-o"]
+            publish(path, lambda tmp: subprocess.run([*cc, tmp, _SRC], check=True, capture_output=True))
         lib = ctypes.CDLL(path)
     except (OSError, subprocess.SubprocessError):
         return None

@@ -33,6 +33,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
+from logray.state.manifest import publish
+
 __all__ = ["read_warc", "write_warc", "read_warc_cdx",
            "read_warc_select", "fetch_warc_record", "WARC_SCHEMA"]
 
@@ -216,7 +218,9 @@ def write_warc(ds, path: str, url_col: str = "url", ts_col: str = "ts",
     other, so a rerun into a non-empty directory APPENDS duplicate
     slots for the blocks both attempts wrote (the slot mechanism exists
     so two DISTINCT input blocks with identical content are both kept;
-    see the serializer comment below)."""
+    see the serializer comment below).  A retried emit task does the same
+    within one run; record ids embed the slot names, so a retry-stable
+    batch id cannot replace them without changing the output bytes."""
     import os
 
     os.makedirs(path, exist_ok=True)
@@ -285,9 +289,8 @@ def write_warc(ds, path: str, url_col: str = "url", ts_col: str = "ts",
                 "offset": pa.array(offs, pa.int64()),
                 "length": pa.array(lens, pa.int64()),
             })
-            cfn = os.path.join(path, "cdx", part + ".parquet")
-            pq.write_table(idx, cfn + ".tmp")
-            os.replace(cfn + ".tmp", cfn)
+            publish(os.path.join(path, "cdx", part + ".parquet"),
+                    lambda tmp: pq.write_table(idx, tmp))
         return pa.table({"file": pa.array([fn]),
                          "records": pa.array([len(urls)], pa.int64()),
                          "bytes": pa.array([len(blob)], pa.int64())})

@@ -25,9 +25,9 @@ these artifacts are the same idea for fitted models.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
+
+from logray.state.manifest import publish, publish_text
 
 __all__ = [
     "save_ngram_lm", "load_ngram_lm",
@@ -42,16 +42,14 @@ _VERSION = 1
 
 
 def _savez(path: str, **arrays) -> None:
-    """np.savez that writes EXACTLY ``path`` (numpy silently appends
-    .npz when the suffix is missing, which strands the artifact at a
-    path the later load_* call will not find)."""
-    import os
+    """Publish ``np.savez(**arrays)`` at EXACTLY ``path``: numpy appends
+    .npz to a bare path name, never to an open file."""
 
-    if path.endswith(".npz"):
-        np.savez(path, **arrays)
-        return
-    np.savez(path + ".npz", **arrays)
-    os.replace(path + ".npz", path)
+    def write(tmp):
+        with open(tmp, "wb") as f:
+            np.savez(f, **arrays)
+
+    publish(path, write)
 
 
 def _check(d, kind: str) -> None:
@@ -108,8 +106,7 @@ def load_centroids(path: str) -> np.ndarray:
 
 def save_bpe(bpe, path: str) -> None:
     """Persist a trained ByteBPE vocabulary (its canonical JSON form)."""
-    with open(path, "w") as f:
-        f.write(bpe.to_json())
+    publish_text(path, bpe.to_json())
 
 
 def load_bpe(path: str):

@@ -14,18 +14,64 @@ a distributed batch run instead needs a **resumable output layout**:
 
 ``run_resumable`` drives any per-partition pipeline function with this
 protocol; the flagship pipeline plugs in via ``logray.pipelines``.
+
+:func:`publish` is how logray commits every file, and :func:`batch_id`
+names what a Ray Data task writes, so a retried task rewrites its names.
 """
 
 from __future__ import annotations
 
 import glob
+import itertools
 import json
 import os
 import shutil
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+
+
+def publish(path: str, write):
+    """Commit one file atomically; returns what ``write`` returns.
+    ``write(tmp)`` creates a hidden temp file beside ``path`` (so it gets
+    the mode a plain ``open()`` gives; missing parent dirs are made),
+    then ``os.replace`` puts it at ``path``.  On any exception the temp
+    file goes and ``path`` is left as it was."""
+    d, name = os.path.split(os.path.abspath(path))
+    os.makedirs(d, exist_ok=True)
+    tmp = os.path.join(d, f".{name}.{os.urandom(6).hex()}.tmp")
+    try:
+        out = write(tmp)
+        os.replace(tmp, path)
+        return out
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def publish_text(path: str, text: str) -> None:
+    """:func:`publish` a text file."""
+    publish(path, lambda tmp: Path(tmp).write_text(text))
+
+
+_LOCAL_BATCHES = itertools.count(1)
+
+
+def batch_id() -> tuple[int, int]:
+    """``(task_idx, n)`` of the batch the calling Ray Data task is on:
+    the task's index in its operator (as in Ray's Parquet sink file
+    names) and the batch's ordinal in this attempt, counted on the
+    ``TaskContext`` each attempt receives fresh.  A retry sees the same
+    batches, so it draws the same ids.  Outside a task: ``(0, n)``."""
+    from ray.data._internal.execution.interfaces import TaskContext
+
+    ctx = TaskContext.get_current()
+    if ctx is None:
+        return 0, next(_LOCAL_BATCHES)
+    n = ctx.kwargs["logray_batch"] = ctx.kwargs.get("logray_batch", 0) + 1
+    return ctx.task_idx, n
 
 
 @dataclass
@@ -43,12 +89,9 @@ class RunManifest:
 
     def record(self, part_id: str, entry: dict) -> None:
         """Atomic commit: the manifest file is the partition's done-marker,
-        written last via tmp + rename."""
-        path = self.manifest_path(part_id)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as f:
-            json.dump(entry, f, indent=2, default=str)
-        os.replace(tmp, path)
+        written last."""
+        publish_text(self.manifest_path(part_id),
+                     json.dumps(entry, indent=2, default=str))
 
     def entries(self) -> dict:
         out = {}
@@ -117,11 +160,7 @@ def check_run_config(out_dir: str, config: dict) -> None:
                 f"parameters; refusing to mix its checkpoints with this "
                 f"plan: {diffs} — rerun in a fresh out_dir")
         return
-    os.makedirs(out_dir, exist_ok=True)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(cfg, f, indent=2, sort_keys=True)
-    os.replace(tmp, path)
+    publish_text(path, json.dumps(cfg, indent=2, sort_keys=True))
 
 
 def default_partitions(input_path: str) -> list[tuple[str, list[str]]]:

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import os
 
+from logray.state.manifest import publish_text
+
 COMMON_PROFILE = "common"
 PROFILE_MAPPING = "profile_mapping"
 
@@ -67,12 +69,15 @@ class ProfileStore:
 
     def _load(self) -> None:
         if not os.path.exists(self.path):
-            with open(self.path, "w") as f:
-                f.write(DEFAULT_CFG)
+            self._write(DEFAULT_CFG)
             self.sections = _parse_lines(DEFAULT_CFG.splitlines())
             return
         with open(self.path) as f:
             self.sections = _parse_lines(f.read().splitlines())
+
+    def _write(self, text: str) -> None:
+        """Commit the whole file, through a symlink."""
+        publish_text(os.path.realpath(self.path), text)
 
     # -- get/set ----------------------------------------------------------
 
@@ -115,8 +120,7 @@ class ProfileStore:
             lines.extend(new_section)
         else:
             lines[start:end] = new_section
-        with open(self.path, "w") as f:
-            f.write("\n".join(lines) + "\n")
+        self._write("\n".join(lines) + "\n")
 
     def save_all(self) -> None:
         preamble: list[str] = []
@@ -139,8 +143,7 @@ class ProfileStore:
             if name not in (COMMON_PROFILE, PROFILE_MAPPING):
                 emit(name)
         emit(PROFILE_MAPPING)
-        with open(self.path, "w") as f:
-            f.write("\n".join(out) + "\n")
+        self._write("\n".join(out) + "\n")
 
     # -- per-file mapping --------------------------------------------------
 

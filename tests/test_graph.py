@@ -1241,15 +1241,53 @@ def test_pagerank_fixedpoint_damping_den_guard(ray_session):
                             damping_den=100_000_000)
 
 
-def test_graph_push_retry_policy():
-    """A replayed push batch is a no-op only on the kernels that keep the
-    distinct edge set (CC, fixed-point HITS), so only their push keeps
-    Ray's default retries; the multiset kernels push with
-    max_retries=0."""
-    from logray.functions.dedup import _CCShard
-    from logray.functions.graph import (_HitsIntShard, _HitsShard,
-                                        _PRIntShard, _PRShard)
+def test_graph_push_replay_is_dropped(ray_session, tmp_path, monkeypatch):
+    """A float PageRank push worker killed after its batch is acked is
+    retried by Ray and pushes that batch again; the shards drop the
+    replay by its batch id, so the ranks are bit-equal to a clean run."""
+    import os
 
-    assert _CCShard.DISTINCT_EDGES and _HitsIntShard.DISTINCT_EDGES
-    assert not any(k.DISTINCT_EDGES
-                   for k in (_PRShard, _PRIntShard, _HitsShard))
+    import ray
+
+    from logray.functions import graph as G
+
+    src, dst = _rand_graph(74, 300, 4000)
+
+    def ranks():
+        df = G.pagerank(_edges_ds(src, dst), num_shards=3).to_pandas()
+        df = df.sort_values("node")
+        return df["node"].to_numpy().tobytes() + df["rank"].to_numpy().tobytes()
+
+    clean = ranks()
+    marker = str(tmp_path / "kill-marker")
+    real_kernel, real_routes, shards = G._PRShard, G._pr_routes, []
+
+    class RecordingKernel:
+        DISTINCT_EDGES = False
+
+        @staticmethod
+        def remote(num_shards):
+            shards.append(real_kernel.remote(num_shards))
+            return shards[-1]
+
+    def killing_routes(*args):
+        routes = real_routes(*args)
+
+        def once(t):
+            yield from routes(t)
+            # every slice of the batch is sent; an actor runs one
+            # caller's calls in order, so these return once it has run
+            # them all (acked) — then die before the push returns
+            ray.get([s.__ray_ready__.remote() for s in shards])
+            try:
+                open(marker, "x").close()
+            except FileExistsError:
+                return
+            os._exit(1)
+
+        return once
+
+    monkeypatch.setattr(G, "_PRShard", RecordingKernel)
+    monkeypatch.setattr(G, "_pr_routes", killing_routes)
+    assert ranks() == clean
+    assert os.path.isfile(marker)  # the kill did happen

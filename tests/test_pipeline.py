@@ -401,3 +401,107 @@ def test_resumable_concurrent_fails_fast(ray_session, tmp_path):
                             max_concurrent=4)
     assert metrics["partitions"] == n
     assert len(good_ran) == n  # nothing was committed by the bad run
+
+
+@pytest.mark.parametrize("parse_concurrency", [None, 2], ids=["tasks", "parse_actor_pool"])
+def test_route_sinks_exact_under_worker_kill(ray_session, tmp_path, parse_concurrency):
+    """A sink worker killed right after its write is retried by Ray. The
+    retry rewrites the same file names, so the sinks hold exactly the
+    reported rows, in the same files as a clean run."""
+    from collections import Counter
+    from dataclasses import replace
+
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from logray.pipelines.flagship import build
+    from logray.stages.aggregate import fold_partials_stream
+    from logray.stages.route import RouteSinkWriter
+
+    cfg = replace(CFG, parse_concurrency=parse_concurrency)
+    table = synth_transcripts_table(n_convs=40, seed=21)
+    step = -(-table.num_rows // 4)
+    marker = str(tmp_path / "kill-marker")
+
+    class KillAfterWrite(RouteSinkWriter):
+        def __call__(self, t):
+            out = super().__call__(t)
+            try:
+                open(marker, "x").close()
+            except FileExistsError:
+                return out
+            os._exit(1)  # first attempt of the first batch only
+
+    def run(writer_cls, name):
+        sink = tmp_path / name
+        ds = rd.from_arrow([table.slice(i, step) for i in range(0, table.num_rows, step)])
+        folded = fold_partials_stream(build(ds, cfg).map_batches(
+            writer_cls(str(sink), ["route"], ts_col=None), batch_format="pyarrow"))
+        rc = folded.filter(pc.equal(folded["metric"], "route"))
+        reported = dict(zip(rc["key"].to_pylist(), rc["n"].to_pylist()))
+        files = sorted(str(p.relative_to(sink)) for p in sink.rglob("*") if p.is_file())
+        on_disk = Counter()
+        for f in files:
+            route = f.split("/")[0].removeprefix("route=")
+            on_disk[route] += pq.ParquetFile(sink / f).metadata.num_rows
+        return reported, dict(on_disk), files
+
+    clean = run(RouteSinkWriter, "clean")
+    reported, on_disk, files = run(KillAfterWrite, "faulted")
+    assert os.path.isfile(marker)  # the kill did happen
+    assert on_disk == reported == clean[0]
+    assert sum(reported.values()) == table.num_rows
+    assert files == clean[2]
+
+
+def test_run_pipeline_refuses_used_sink_dir(ray_session, tmp_path):
+    import ray.data as rd
+
+    table = synth_transcripts_table(n_convs=5, seed=2)
+    run_pipeline(rd.from_arrow(table), CFG, str(tmp_path), write_metrics=False)
+    with pytest.raises(ValueError, match="non-empty"):
+        run_pipeline(rd.from_arrow(table), CFG, str(tmp_path), write_metrics=False)
+
+
+def test_publish_failed_write_leaves_target(tmp_path):
+    from logray.state.manifest import publish
+
+    target = tmp_path / "x.json"
+    target.write_text("old")
+
+    def fail(tmp):
+        with open(tmp, "w") as f:
+            f.write("half")
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        publish(str(target), fail)
+    assert target.read_text() == "old"
+    assert os.listdir(tmp_path) == ["x.json"]  # no temp file left
+
+
+def test_publish_mode_matches_open(tmp_path):
+    from logray.state.manifest import publish
+
+    with open(tmp_path / "plain", "w"):
+        pass
+    publish(str(tmp_path / "sub" / "published"), lambda tmp: open(tmp, "w").close())
+    assert (os.stat(tmp_path / "sub" / "published").st_mode
+            == os.stat(tmp_path / "plain").st_mode)
+
+
+def test_file_commits_live_in_manifest():
+    """Only state/manifest.py renames files: every file commit goes
+    through ``publish`` and every Ray task keeps its default retries
+    (no uuid-named copies, no ``max_retries`` opt-out)."""
+    import re
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1] / "logray"
+    pat = re.compile(r"\bos\.(?:replace|rename)\b|\buuid\b|\bmax_retries\b")
+    offenders = sorted(
+        rel for p in root.rglob("*.py")
+        if (rel := p.relative_to(root).as_posix()) != "state/manifest.py"
+        and pat.search(p.read_text()))
+    assert offenders == []
