@@ -246,506 +246,244 @@ def min_max(ds, col: str):
 
 
 def kth_smallest(ds, col: str, k: int):
-    """Exact k-th smallest value (0-based) of a column — one order
-    statistic via sample-guided bisection (``rank_of`` pins the rank to
-    ``k``): NO sort, NO shuffle, only streaming counting passes.  The
-    previous implementation pushed the whole corpus through a sort's
-    all-to-all exchange to read back k+1 rows.  Nulls are ignored (SQL
-    ``ORDER BY col LIMIT 1 OFFSET k`` under NULLS LAST, k inside the
-    non-null range); returns None when k is out of range.
-
-    Numeric columns route through :func:`exact_quantiles`; every other
-    ordered type (string, timestamp, date, decimal, boolean) through
-    :func:`_kth_ordered`, the value-space variant of the same selector
-    (sampled pivots only — no midpoint arithmetic), so the non-numeric
-    support of the old sort-based implementation is preserved without
-    its shuffle.
-
-    Float columns may carry NaN (valid non-null values that sort LAST,
-    matching numpy/DuckDB ORDER BY): the bisection's counting passes
-    cannot bracket NaN (every comparison excludes it), so floats first
-    take one streaming (finite, nan) count — a k inside the NaN tail
-    returns NaN directly, and the selector then runs over the
-    NaN-filtered stream."""
-    from logray.stages.bucketing import arrow_type_of
-
-    sch = ds.schema()
-    # pandas-block schemas carry numpy dtypes / the object class for
-    # strings — resolve through the shared helper (None = not numeric)
-    vtype = arrow_type_of(dict(zip(sch.names, sch.types))[col])
-    if vtype is None or not (
-            pa.types.is_integer(vtype) or pa.types.is_floating(vtype)):
-        return _kth_ordered(ds, col, k)
-    if pa.types.is_floating(vtype):
-        def counts(t: pa.Table) -> pa.Table:
-            v = t[col].to_numpy(zero_copy_only=False)
-            nan = int(np.isnan(v).sum())  # nulls come through as NaN too
-            null = t[col].null_count
-            return pa.table({"fin": pa.array([t.num_rows - nan], pa.int64()),
-                             "nan": pa.array([nan - null], pa.int64())})
-
-        part = ds.map_batches(counts, batch_format="pyarrow",
-                              zero_copy_batch=True, batch_size=None) \
-            .to_pandas().sum()
-        n_fin, n_nan = int(part["fin"]), int(part["nan"])
-        if k >= n_fin:
-            return float("nan") if k < n_fin + n_nan else None
-        if n_nan:  # NaN-free columns (the common case) skip the filter
-            ds = ds.map_batches(
-                lambda t: t.filter(
-                    pc.invert(pc.is_nan(t[col]).fill_null(True))),
-                batch_format="pyarrow", zero_copy_batch=True,
-                batch_size=None)
-    return exact_quantiles(ds, col, ["k"], rank_of=lambda _q, _n: k)["k"]
+    """Exact k-th smallest value (0-based) of a column, for any type numpy
+    can order (numbers, strings, timestamps, dates, decimals, booleans):
+    one order statistic from :func:`_select` — no sort, no shuffle, only
+    streaming passes.  Nulls are ignored and NaN sorts last (SQL
+    ``ORDER BY col LIMIT 1 OFFSET k`` under NULLS LAST, numpy's NaN
+    order): a k inside the NaN tail returns NaN, and a k outside the
+    non-null range returns None.  The value comes back as the column's
+    Python scalar (``int``, ``float``, ``str``, ``datetime``, ...)."""
+    (v,) = _select(ds, col, lambda _n: [k])
+    return v.item() if isinstance(v, np.generic) else v
 
 
-def _kth_ordered(ds, col: str, k: int, sample_per_batch: int = 64,
-                 max_bracket_rows: int = 4_000_000, max_passes: int = 48):
-    """Exact k-th smallest for any ORDERED column type numpy can compare
-    (strings as object arrays, datetime64, decimals) — the
-    :func:`exact_quantiles` bisection restricted to one rank, with pivots
-    drawn ONLY from sampled values (value midpoints don't exist for
-    strings).  Duplicate-heavy brackets resolve via a strict-below count
-    (#{v < hi} == c_lo proves the bracket is all ``hi``) computed in the
-    same pass as #{v <= p} — no predecessor arithmetic needed.
+# pivots counted per rank and pass: a counting pass splits a bracket up
+# to this many ways, so resampling is rarely needed twice
+_MAX_PIVOTS = 256
 
-    Each pass is one streaming count; a bracket holding
-    <= ``max_bracket_rows`` rows is collected and selected directly."""
-    ds = ds.map_batches(
-        lambda t: t.filter(pc.is_valid(t[col])),
-        batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
-    )
 
-    def col_np(t):
-        return t[col].to_numpy(zero_copy_only=False)
+def _values(t: pa.Table, col: str):
+    """A block's non-null values of ``col`` as numpy, NaN split off:
+    (values without NaN, NaN count)."""
+    c = t[col]
+    v = (c.drop_null() if c.null_count else c).to_numpy(zero_copy_only=False)
+    if v.dtype.kind == "f":
+        nan = np.isnan(v)
+        if nan.any():
+            return v[~nan], int(nan.sum())
+    return v, 0
 
-    def in_bracket(v, lo, hi):
-        m = np.ones(len(v), np.bool_)
-        if lo is not None:
-            m &= v > lo
-        if hi is not None:
-            m &= v <= hi
-        return m
 
-    def sample_pass(lo, hi):
-        """(count in bracket, sorted sampled values, weights)."""
+def _inside(v: np.ndarray, lo, hi) -> np.ndarray:
+    """Mask of ``v`` strictly inside the open bracket (lo, hi); a None
+    bound is unbounded."""
+    m = np.ones(len(v), np.bool_)
+    if lo is not None:
+        m &= v > lo
+    if hi is not None:
+        m &= v < hi
+    return m
+
+
+def _select(ds, col: str, ranks, sample_per_batch: int = 64,
+            max_bracket_rows: int = 4_000_000, max_passes: int = 48) -> list:
+    """Exact order statistics of ``col`` by sample-guided bisection in the
+    column's own value space — NO sort, NO shuffle, NO materialization of
+    the dataset, only streaming passes.  ``ranks(n)`` maps the non-null
+    row count n to the 0-based ranks wanted; returns their values in the
+    column's numpy scalar type (None for a rank outside [0, n)).
+
+    Order: nulls are dropped, NaN sorts last.  The first pass counts NaN
+    into n, every pass drops it, and a rank in the NaN tail is NaN with
+    no collection.  Each finite rank r keeps an open value bracket
+    ``(lo, hi)`` with EXACT counts ``c_lo = #{v <= lo} <= r < c_hi =
+    #{v < hi}``.  A round is at most two passes shared by every rank:
+
+    1. collect — a bracket holding <= ``max_bracket_rows`` rows is
+       gathered and the rank picked directly; a bracket whose sample went
+       blind (fewer than 4 values inside) is resampled: an even grid of
+       ``sample_per_batch`` values per block, each standing for
+       ``rows/grid`` rows.  The first pass samples the whole column.
+    2. count — up to ``_MAX_PIVOTS`` sampled values per bracket, spread
+       by estimated rank, are counted as ``#{v <= p}`` and ``#{v < p}``
+       in one sort+searchsorted per block.  A pivot with
+       ``#{v < p} <= r < #{v <= p}`` IS the answer (its duplicate run
+       holds the rank: a hot key resolves with no collection); otherwise
+       the bracket narrows to the adjacent pivots around r.
+
+    Pivots are sampled values, never arithmetic on them, so int64 above
+    2**53, strings and timestamps select exactly.  ``max_passes`` bounds
+    the rounds."""
+    def run(fn):
+        out = ds.map_batches(fn, batch_format="pyarrow",
+                             zero_copy_batch=True, batch_size=None)
+        return out.iter_batches(batch_size=None, batch_format="pyarrow")
+
+    def collect(reqs):
+        """One pass over ``reqs`` = [(lo, hi, cap)]: per bracket the exact
+        count in (lo, hi) with its values — all of them (cap None), or at
+        most ``cap`` per block, sorted, with their weights; plus the NaN
+        count."""
 
         def part(t: pa.Table) -> pa.Table:
-            v = col_np(t)
-            v = v[in_bracket(v, lo, hi)]
-            n = len(v)
+            v, nan = _values(t, col)
             vt = t[col].type
-            if n == 0:
-                return pa.table({"n": pa.array([0], pa.int64()),
-                                 "vals": pa.array([[]], pa.list_(vt)),
-                                 "w": pa.array([0.0])})
-            g = min(n, sample_per_batch)
-            grid = np.sort(v)[np.linspace(0, n - 1, g).astype(np.int64)]
-            return pa.table({
-                "n": pa.array([n], pa.int64()),
-                "vals": pa.array([pa.array(grid, type=vt)], pa.list_(vt)),
-                "w": pa.array([n / g]),
-            })
+            cols = {"nan": pa.array([nan], pa.int64())}
+            for j, (lo, hi, cap) in enumerate(reqs):
+                x = v[_inside(v, lo, hi)]
+                cols[f"n{j}"] = pa.array([len(x)], pa.int64())
+                if cap is not None and len(x) > cap:
+                    x = np.sort(x)[np.linspace(0, len(x) - 1, cap).astype(np.int64)]
+                cols[f"v{j}"] = pa.array([pa.array(x, vt)], pa.list_(vt))
+            return pa.table(cols)
 
-        total, vals, ws = 0, [], []
-        out = ds.map_batches(part, batch_format="pyarrow",
-                             zero_copy_batch=True, batch_size=None)
-        for b in out.iter_batches(batch_size=None, batch_format="pyarrow"):
-            total += int(pc.sum(b["n"]).as_py() or 0)
-            colv = b["vals"]
-            if isinstance(colv, pa.ChunkedArray):
-                colv = colv.combine_chunks()
-            # stay in numpy form (datetime64 / object-str) so later
-            # comparisons against batch arrays use one dtype family
-            lens = pc.list_value_length(colv).to_numpy(zero_copy_only=False)
-            flat = colv.flatten().to_numpy(zero_copy_only=False)
-            wrow = np.asarray(b["w"].to_numpy(zero_copy_only=False))
-            if len(flat):
-                vals.append(flat)
-                ws.append(np.repeat(wrow, lens))
-        if not vals:
-            return total, np.zeros(0, object), np.zeros(0)
-        v = np.concatenate(vals)
-        w = np.concatenate(ws)
-        order = np.argsort(v, kind="mergesort")
-        return total, v[order], w[order]
-
-    def count_pass(pivots):
-        """(#{v <= p}, #{v < p}) per pivot — one streaming pass."""
-
-        def part(t: pa.Table) -> pa.Table:
-            v = np.sort(col_np(t))
-            le = np.searchsorted(v, pivots, side="right")
-            lt = np.searchsorted(v, pivots, side="left")
-            return pa.table({
-                "le": pa.array([le.astype(np.int64)], pa.list_(pa.int64())),
-                "lt": pa.array([lt.astype(np.int64)], pa.list_(pa.int64())),
-            })
-
-        out = ds.map_batches(part, batch_format="pyarrow",
-                             zero_copy_batch=True, batch_size=None)
-        tot_le = np.zeros(len(pivots), np.int64)
-        tot_lt = np.zeros(len(pivots), np.int64)
-        for b in out.iter_batches(batch_size=None, batch_format="pyarrow"):
-            for name, tot in (("le", tot_le), ("lt", tot_lt)):
-                colv = b[name]
-                if isinstance(colv, pa.ChunkedArray):
-                    colv = colv.combine_chunks()
-                m = colv.flatten().to_numpy(zero_copy_only=False).reshape(
-                    len(colv), len(pivots))
-                tot += m.sum(axis=0, dtype=np.int64)
-        return tot_le, tot_lt
-
-    def collect_bracket(lo, hi):
-        def part(t: pa.Table) -> pa.Table:
-            v = col_np(t)
-            kept = v[in_bracket(v, lo, hi)]
-            return pa.table({"vals": pa.array([pa.array(kept, t[col].type)],
-                                              pa.list_(t[col].type))})
-
-        out = ds.map_batches(part, batch_format="pyarrow",
-                             zero_copy_batch=True, batch_size=None)
+        nan, n = 0, [0] * len(reqs)
+        vals, wts = [[] for _ in reqs], [[] for _ in reqs]
+        for b in run(part):
+            nan += int(pc.sum(b["nan"]).as_py())
+            for j in range(len(reqs)):
+                cnt = b[f"n{j}"].to_numpy()
+                lists = b[f"v{j}"].combine_chunks()
+                lens = pc.list_value_length(lists).to_numpy(zero_copy_only=False)
+                flat = lists.flatten().to_numpy(zero_copy_only=False)
+                n[j] += int(cnt.sum())
+                if len(flat):  # an all-null block's values are untyped
+                    vals[j].append(flat)
+                    wts[j].append(np.repeat(cnt / np.maximum(lens, 1), lens))
         got = []
-        for b in out.iter_batches(batch_size=None, batch_format="pyarrow"):
-            colv = b["vals"]
-            if isinstance(colv, pa.ChunkedArray):
-                colv = colv.combine_chunks()
-            flat = colv.flatten().to_numpy(zero_copy_only=False)
-            if len(flat):
-                got.append(flat)
-        return np.concatenate(got) if got else np.zeros(0, object)
-
-    def to_py(x):
-        return x.item() if isinstance(x, np.generic) else x
-
-    n, sv, sw = sample_pass(None, None)
-    s_base = 0  # rank offset of the current sample's bracket
-    if k < 0 or k >= n:
-        return None
-    lo, c_lo, hi, c_hi = None, 0, None, n  # bracket (lo, hi], counts exact
-
-    for _pass in range(max_passes):
-        if c_hi - c_lo <= max_bracket_rows:
-            inb = np.sort(collect_bracket(lo, hi), kind="mergesort")
-            return to_py(inb[k - c_lo])
-        m = np.ones(len(sv), np.bool_)
-        if lo is not None:
-            m &= sv > lo
-        if hi is not None:
-            m &= sv < hi
-        inside = np.unique(sv[m])
-        if len(inside) > 13:
-            # estimated-rank grid over the bracket
-            pcs = np.cumsum(sw) + s_base
-            tgt = np.linspace(c_lo, c_hi, 15)[1:-1]
-            sel = np.unique(sv[np.clip(
-                np.searchsorted(pcs, tgt), 0, len(sv) - 1)])
-            keep = np.ones(len(sel), np.bool_)
-            if lo is not None:
-                keep &= sel > lo
-            if hi is not None:
-                keep &= sel < hi
-            inside = sel[keep] if keep.any() else inside
-        cand = list(inside)
-        if hi is not None:
-            cand.append(hi)  # its strict-below count is the dup proof
-        if not cand:
-            # sample blind inside a still-big bracket: resample there
-            _sub, sv, sw = sample_pass(lo, hi)
-            s_base = c_lo
-            if len(sv) == 0:
-                # nothing strictly inside (lo, hi): the bracket is all hi
-                return to_py(hi)
-            continue
-        pivots = np.unique(np.asarray(
-            cand, dtype=object if isinstance(cand[0], str) else None))
-        c_le, c_lt = count_pass(pivots)
-        for p, le, lt in zip(pivots, c_le, c_lt):
-            if lo is not None and not (p > lo):
+        for j, (_lo, _hi, cap) in enumerate(reqs):
+            if not vals[j]:
+                got.append((n[j], np.zeros(0), np.zeros(0)))
                 continue
-            if hi is not None and not (p <= hi):
+            v = np.concatenate(vals[j])
+            if cap is None:
+                got.append((n[j], v, None))
                 continue
-            if le <= k:
-                if lo is None or p > lo:
-                    lo, c_lo = p, int(le)
-            else:
-                # p's own run straddles the rank when #{v < p} <= k < #{v <= p}
-                if lt <= k:
-                    return to_py(p)
-                if hi is None or p < hi:
-                    hi, c_hi = p, int(le)
-        # resample when the sample went blind inside the new bracket
-        m = np.ones(len(sv), np.bool_)
-        if lo is not None:
-            m &= sv > lo
-        if hi is not None:
-            m &= sv < hi
-        if c_hi - c_lo > max_bracket_rows and m.sum() < 4:
-            _sub, sv, sw = sample_pass(lo, hi)
-            s_base = c_lo
+            order = np.argsort(v, kind="mergesort")
+            got.append((n[j], v[order], np.concatenate(wts[j])[order]))
+        return nan, got
 
-    raise RuntimeError(
-        f"_kth_ordered failed to converge after {max_passes} passes "
-        f"(raise max_bracket_rows or max_passes)")
+    def count(pivots):
+        """(#{v <= p}, #{v < p}) per pivot — one pass."""
+
+        def part(t: pa.Table) -> pa.Table:
+            v = np.sort(_values(t, col)[0])
+            return pa.table({
+                side: pa.array([np.searchsorted(v, pivots, side).astype(np.int64)],
+                               pa.list_(pa.int64()))
+                for side in ("right", "left")})
+
+        le = np.zeros(len(pivots), np.int64)
+        lt = np.zeros(len(pivots), np.int64)
+        for b in run(part):
+            for side, tot in (("right", le), ("left", lt)):
+                lists = b[side].combine_chunks()
+                tot += lists.flatten().to_numpy(zero_copy_only=False).reshape(
+                    len(lists), len(pivots)).sum(axis=0, dtype=np.int64)
+        return le, lt
+
+    def pivots_of(st):
+        lo, _c_lo, hi, _c_hi, sv, sw, _fresh = st
+        m = _inside(sv, lo, hi)
+        v, w = sv[m], sw[m]
+        if len(v) > _MAX_PIVOTS:  # an estimated-rank grid across the bracket
+            cw = np.cumsum(w)
+            v = v[np.searchsorted(cw, np.linspace(0, cw[-1], _MAX_PIVOTS + 2)[1:-1])]
+        return np.unique(v)
+
+    nan, ((n_fin, sv, sw),) = collect([(None, None, sample_per_batch)])
+    n = n_fin + nan
+    want = [int(r) for r in ranks(n)]
+    res: dict = {}
+    # per finite rank: [lo, c_lo, hi, c_hi, sample values, weights, fresh]
+    state = {r: [None, 0, None, n_fin, sv, sw, True]
+             for r in set(want) if 0 <= r < n_fin}
+    for r in want:
+        if n_fin <= r < n:
+            res[r] = float("nan")
+
+    for _round in range(max_passes):
+        if not state:
+            break
+        reqs: dict = {}
+        for st in state.values():
+            lo, c_lo, hi, c_hi, _sv, _sw, fresh = st
+            if c_hi - c_lo <= max_bracket_rows:
+                reqs[lo, hi, None] = None
+            elif not fresh and len(pivots_of(st)) < 4:
+                reqs[lo, hi, sample_per_batch] = None
+        if reqs:
+            _nan, got = collect(list(reqs))
+            got = dict(zip(reqs, got))
+            for r, st in list(state.items()):
+                lo, c_lo, hi = st[:3]
+                if (lo, hi, None) in got:
+                    inb = got[lo, hi, None][1]  # the counts are exact
+                    res[r] = np.partition(inb, r - c_lo)[r - c_lo]
+                    del state[r]
+                elif (lo, hi, sample_per_batch) in got:
+                    _n, st[4], st[5] = got[lo, hi, sample_per_batch]
+                    st[6] = True
+            if not state:
+                break
+        pivots = np.unique(np.concatenate([pivots_of(st) for st in state.values()]))
+        le, lt = count(pivots)
+        for r, st in list(state.items()):
+            m = _inside(pivots, st[0], st[2])
+            p, p_le, p_lt = pivots[m], le[m], lt[m]
+            hit = np.flatnonzero((p_lt <= r) & (r < p_le))
+            if len(hit):  # r falls in p's duplicate run
+                res[r] = p[hit[0]]
+                del state[r]
+                continue
+            j = int(np.searchsorted(p_le, r, side="right"))
+            if j:
+                st[0], st[1] = p[j - 1], int(p_le[j - 1])
+            if j < len(p):
+                st[2], st[3] = p[j], int(p_lt[j])
+            st[6] = False
+
+    if state:
+        raise RuntimeError(
+            f"exact selection of ranks {sorted(state)} did not converge after "
+            f"{max_passes} rounds (raise max_bracket_rows or max_passes)")
+    return [res.get(r) for r in want]
 
 
 def exact_quantiles(ds, col: str, qs, sample_per_batch: int = 64,
                     max_bracket_rows: int = 4_000_000,
                     max_passes: int = 48, rank_of=None) -> dict:
-    """Distributed EXACT discrete quantiles by sample-guided bisection —
-    NO sort, NO shuffle, NO materialization of the dataset (the round-2
+    """Distributed EXACT discrete quantiles: each q maps to one rank and
+    :func:`_select` finds all of them in shared streaming passes — NO
+    sort, NO shuffle, NO materialization of the dataset (an earlier
     implementation sort-materialized the full corpus, which pins 100 TB
     in the object store to read back a handful of rows).
 
-    Invariant per quantile: a value bracket ``(lo, hi]`` with EXACT counts
-    ``c_lo = #{v <= lo} <= rank < c_hi = #{v <= hi}``.  Each round is one
-    streaming counting pass: candidate pivots (sample values inside each
-    bracket, placed on an estimated-rank grid; value midpoints when the
-    sample is blind there) are counted EXACTLY with one
-    sort+searchsorted per batch, and every bracket narrows to the
-    adjacent pivot pair straddling its rank.  A bracket resolves when
-    (a) it holds <= ``max_bracket_rows`` rows — they are collected in one
-    final pass and the element selected directly — or (b) it is proven
-    to hold ONE duplicated value (#{v <= pred(hi)} == c_lo), which is
-    the answer with no collection at all.  Duplicates therefore cost
-    one extra counting pass, never a memory blowup.
-
     Semantics match DuckDB ``quantile_disc``: the element at 0-based index
-    ``max(ceil(q*n) - 1, 0)`` of the sorted multiset (pinned by test).
-    Returns {q: value} (None values for an empty dataset)."""
+    ``max(ceil(q*n) - 1, 0)`` of the sorted multiset, nulls ignored
+    (pinned by test).  ``rank_of(q, n)`` replaces that rank for other
+    order statistics (see :func:`quantile_cont`); a rank it puts outside
+    the data gives None.  Values are ``int`` for integer columns and
+    ``float`` otherwise; None for every q of an empty dataset.
+
+    Documented difference: NaN is a value that sorts LAST and counts
+    toward n (numpy order), so a q whose rank falls in a NaN tail returns
+    NaN.  DuckDB orders NaN differently and gives other values on
+    NaN-bearing columns."""
     import math
 
     qs = list(qs)
-    sch = ds.schema()
-    vtype = dict(zip(sch.names, sch.types))[col]
-    is_int = pa.types.is_integer(vtype)
-    # quantile_disc ignores nulls; drop them so ranks index real values
-    ds = ds.map_batches(
-        lambda t: t.filter(pc.is_valid(t[col])),
-        batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
-    )
 
-    def collect_sample(lo, hi):
-        """One stream pass: exact count in (lo, hi] + a weighted value
-        sample (even grid over each sorted batch; every grid carries
-        weight batch_rows/grid_len — an unbiased rank estimator)."""
-
-        def part(t: pa.Table) -> pa.Table:
-            v = t[col].to_numpy(zero_copy_only=False)
-            if lo is not None:
-                v = v[v > lo]
-            if hi is not None:
-                v = v[v <= hi]
-            n = len(v)
-            if n == 0:
-                return pa.table({"n": pa.array([0], pa.int64()),
-                                 "vals": pa.array([[]], pa.list_(pa.float64())),
-                                 "w": pa.array([0.0])})
-            k = min(n, sample_per_batch)
-            grid = np.sort(v)[np.linspace(0, n - 1, k).astype(np.int64)]
-            return pa.table({"n": pa.array([n], pa.int64()),
-                             "vals": pa.array([np.asarray(grid, np.float64)],
-                                              pa.list_(pa.float64())),
-                             "w": pa.array([n / k])})
-
-        total, vals, ws = 0, [], []
-        out = ds.map_batches(part, batch_format="pyarrow",
-                             zero_copy_batch=True, batch_size=None)
-        for b in out.iter_batches(batch_size=None, batch_format="pyarrow"):
-            total += int(pc.sum(b["n"]).as_py() or 0)
-            for row_vals, row_w in zip(b["vals"].to_pylist(), b["w"].to_pylist()):
-                if row_vals:
-                    vals.append(np.asarray(row_vals))
-                    ws.append(np.full(len(row_vals), row_w))
-        if not vals:
-            return total, np.zeros(0), np.zeros(0)
-        v = np.concatenate(vals)
-        w = np.concatenate(ws)
-        order = np.argsort(v, kind="mergesort")
-        return total, v[order], w[order]
-
-    def count_leq(pivots: np.ndarray) -> np.ndarray:
-        """Exact #{v <= p} for each pivot — ONE streaming pass, one
-        sort+searchsorted per batch (vectorized over all pivots)."""
-
-        def part(t: pa.Table) -> pa.Table:
-            v = np.sort(t[col].to_numpy(zero_copy_only=False))
-            c = np.searchsorted(v, pivots, side="right")
-            return pa.table({"c": pa.array([c.astype(np.int64)],
-                                           pa.list_(pa.int64()))})
-
-        out = ds.map_batches(part, batch_format="pyarrow",
-                             zero_copy_batch=True, batch_size=None)
-        tot = np.zeros(len(pivots), np.int64)
-        for b in out.iter_batches(batch_size=None, batch_format="pyarrow"):
-            colv = b["c"]
-            if isinstance(colv, pa.ChunkedArray):
-                colv = colv.combine_chunks()
-            m = colv.flatten().to_numpy(zero_copy_only=False).reshape(
-                len(colv), len(pivots))
-            tot += m.sum(axis=0, dtype=np.int64)
-        return tot
-
-    def pred(x: float) -> float:
-        """Largest pivot strictly below x (int columns step whole units)."""
-        return x - 1.0 if is_int else float(np.nextafter(x, -np.inf))
-
-    n, sv, sw = collect_sample(None, None)
-    if n == 0:
-        return {q: None for q in qs}
-    cum = np.cumsum(sw)
-
-    out: dict = {}
-    # per-q bracket state: (lo, c_lo, hi, c_hi); None lo/hi = +-inf
-    state: dict = {}
-    pending = set()
-    for q in qs:
-        # default: quantile_disc rank; rank_of(label, n) generalizes to
-        # arbitrary order statistics (see quantile_cont, kth_smallest)
+    def ranks(n):
         if rank_of is not None:
-            rank = int(rank_of(q, n))
-            if rank < 0 or rank >= n:
-                # explicit order statistic outside the data: no value
-                # (kth_smallest past the end), not a clamp to the extreme
-                out[q] = None
-                continue
-        else:
-            rank = min(max(math.ceil(q * n) - 1, 0), n - 1)
-        state[q] = [None, 0, None, n, rank]
-        pending.add(q)
-    # sample for pivot placement, refreshed per-bracket when blind
-    samples = {q: (sv, sw, 0) for q in pending}  # (values, weights, base_rank)
+            return [int(rank_of(q, n)) if n else -1 for q in qs]
+        return [min(max(math.ceil(q * n) - 1, 0), n - 1) for q in qs]
 
-    for _pass in range(max_passes):
-        # resolve any bracket already under budget by direct collection
-        ready = [q for q in pending
-                 if state[q][3] - state[q][1] <= max_bracket_rows]
-        if ready:
-            brs = [(q, (state[q][0], state[q][2])) for q in sorted(ready)]
-
-            def gather_fn(brs=brs):
-                def fn(t: pa.Table) -> pa.Table:
-                    v = t[col].to_numpy(zero_copy_only=False)
-                    cols = {}
-                    for j, (_q, (lo, hi)) in enumerate(brs):
-                        m = np.ones(len(v), np.bool_)
-                        if lo is not None:
-                            m &= v > lo
-                        if hi is not None:
-                            m &= v <= hi
-                        cols[f"vals_{j}"] = pa.array(
-                            [pa.array(v[m], vtype)], pa.list_(vtype))
-                    return pa.table(cols)
-
-                return fn
-
-            res = ds.map_batches(gather_fn(), batch_format="pyarrow",
-                                 zero_copy_batch=True, batch_size=None)
-            got: dict = {q: [] for q, _ in brs}
-            for b in res.iter_batches(batch_size=None, batch_format="pyarrow"):
-                for j, (q, _) in enumerate(brs):
-                    colv = b[f"vals_{j}"]
-                    if isinstance(colv, pa.ChunkedArray):
-                        colv = colv.combine_chunks()
-                    flat = colv.flatten().to_numpy(zero_copy_only=False)
-                    if len(flat):
-                        got[q].append(flat)
-            for q, _ in brs:
-                lo, c_lo, hi, c_hi, rank = state[q]
-                inb = np.concatenate(got[q]) if got[q] else np.zeros(0)
-                local = rank - c_lo
-                # counts are exact, so the bracket MUST hold the rank
-                sel = np.partition(inb, local)[local]
-                out[q] = int(sel) if is_int else float(sel)
-                pending.discard(q)
-        if not pending:
-            break
-
-        # build this round's pivot set
-        piv: list = []
-        piv_owner: list = []
-        for q in sorted(pending):
-            lo, c_lo, hi, c_hi, rank = state[q]
-            psv, psw, base = samples[q]
-            m = np.ones(len(psv), np.bool_)
-            if lo is not None:
-                m &= psv > lo
-            if hi is not None:
-                m &= psv < hi if hi is not None else m
-            inside = np.unique(psv[m])
-            if len(inside) > 13:
-                # an estimated-rank grid of 13 pivots across the bracket
-                pcs = np.cumsum(psw) + base
-                tgt = np.linspace(c_lo, c_hi, 15)[1:-1]
-                sel = np.unique(psv[np.clip(
-                    np.searchsorted(pcs, tgt), 0, len(psv) - 1)])
-                inside = sel[( (lo is None) | (sel > (lo if lo is not None else -np.inf)) )
-                             & (sel < (hi if hi is not None else np.inf))]
-            cand = list(inside)
-            if hi is not None:
-                cand.append(pred(hi))  # the single-value proof probe
-            if not cand and lo is not None and hi is not None:
-                mid = (lo + hi) / 2.0
-                if is_int:
-                    mid = float(math.floor(mid))
-                if lo < mid < hi:
-                    cand.append(mid)
-            piv.extend(cand)
-        if not piv:
-            # unbounded bracket with an empty sample: refresh samples
-            for q in sorted(pending):
-                lo, c_lo, hi, c_hi, rank = state[q]
-                sub_n, ssv, ssw = collect_sample(lo, hi)
-                samples[q] = (ssv, ssw, c_lo)
-            continue
-        pivots = np.unique(np.asarray(piv, np.float64))
-        counts = count_leq(pivots)
-
-        for q in sorted(pending):
-            lo, c_lo, hi, c_hi, rank = state[q]
-            # narrow to the adjacent pivot pair straddling the rank
-            for p, c in zip(pivots, counts):
-                # the two skips keep lo/hi strictly tightening in VALUE
-                # space; count monotonicity then guarantees
-                # c_lo <= c <= c_hi, so a pivot with c == c_hi may still
-                # tighten hi (e.g. a constant column where every count
-                # equals n)
-                if lo is not None and p <= lo:
-                    continue
-                if hi is not None and p >= hi:
-                    continue
-                if c <= rank:
-                    lo, c_lo = float(p), int(c)
-                else:
-                    hi, c_hi = float(p), int(c)
-            # single-duplicated-value proof: nothing below hi inside
-            if hi is not None and c_hi - c_lo > max_bracket_rows:
-                ph = pred(hi)
-                j = np.searchsorted(pivots, ph)
-                if j < len(pivots) and pivots[j] == ph:
-                    if counts[j] == c_lo:
-                        sel = hi
-                        out[q] = int(sel) if is_int else float(sel)
-                        pending.discard(q)
-                        continue
-            state[q] = [lo, c_lo, hi, c_hi, rank]
-            # refresh the sample when it is blind inside a still-big bracket
-            psv, psw, base = samples[q]
-            m = np.ones(len(psv), np.bool_)
-            if lo is not None:
-                m &= psv > lo
-            if hi is not None:
-                m &= psv < hi
-            if c_hi - c_lo > max_bracket_rows and m.sum() < 4:
-                sub_n, ssv, ssw = collect_sample(lo, hi)
-                samples[q] = (ssv, ssw, c_lo)
-
-    if pending:
-        raise RuntimeError(
-            f"exact_quantiles failed to converge for {sorted(pending)} after "
-            f"{max_passes} passes (raise max_bracket_rows or max_passes)")
-    return {q: out[q] for q in qs}
-
+    vals = _select(ds, col, ranks, sample_per_batch=sample_per_batch,
+                   max_bracket_rows=max_bracket_rows, max_passes=max_passes)
+    return {q: None if v is None else int(v) if isinstance(v, np.integer)
+            else float(v) for q, v in zip(qs, vals)}
 
 
 def grouped_quantiles(ds, key: str, col: str, qs, num_buckets: int = 32):

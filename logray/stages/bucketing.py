@@ -74,9 +74,8 @@ def key_hashes(keys: np.ndarray) -> np.ndarray:
 def arrow_type_of(typ) -> pa.DataType | None:
     """Resolve a Dataset schema entry — a ``pa.DataType``, or a numpy
     dtype / the ``object`` class on pandas-block schemas — to an Arrow
-    type; None when it cannot be expressed (object blocks).  The ONE
-    definition of "Arrow-able" shared by the join planner and the
-    selector dispatch, so they never disagree on a schema."""
+    type; None when it cannot be expressed (object blocks).  The join
+    planner's one definition of "Arrow-able"."""
     if isinstance(typ, pa.DataType):
         return typ
     try:

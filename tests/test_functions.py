@@ -1146,12 +1146,13 @@ def test_exact_quantiles_never_materializes_or_sorts():
     # rewrite must stay sort-free and materialize-free.
     import inspect
 
-    from logray.stages.aggregate import exact_quantiles
+    from logray.stages.aggregate import _select, exact_quantiles
 
-    src = inspect.getsource(exact_quantiles)
-    assert ".materialize(" not in src
-    # np.sort per batch is fine; a Dataset-level sort shuffle is not
-    assert "ds.sort(" not in src and "Dataset.sort" not in src
+    for fn in (exact_quantiles, _select):
+        src = inspect.getsource(fn)
+        assert ".materialize(" not in src
+        # np.sort per batch is fine; a Dataset-level sort shuffle is not
+        assert "ds.sort(" not in src and "Dataset.sort" not in src
 
 
 def test_exact_quantiles_duplicates_and_budget(ray_session):
@@ -1182,6 +1183,92 @@ def test_exact_quantiles_constant_column(ray_session):
 
     assert exact_quantiles(ds, "x", [0.0, 0.5, 1.0], max_bracket_rows=50) == {
         0.0: 7, 0.5: 7, 1.0: 7}
+
+
+def test_exact_quantiles_dominant_int64_key(ray_session):
+    """A hot int64 key above 2**53 (where float64 pivots cannot step below
+    it) resolves exactly under a budget far below its run, through both
+    entry points, as Python ints."""
+    import math
+
+    import ray.data as rd
+
+    from logray.stages.aggregate import exact_quantiles, kth_smallest
+
+    base = 2**60
+    v = np.concatenate([np.full(2000, base + 7, np.int64),
+                        base + np.arange(300, dtype=np.int64)])
+    np.random.default_rng(4).shuffle(v)
+    ds = rd.from_arrow(pa.table({"x": pa.array(v)})).repartition(4)
+    srt = np.sort(v)
+    qs = [0.1, 0.5, 0.99]
+    got = exact_quantiles(ds, "x", qs, max_bracket_rows=100)
+    for q in qs:
+        want = int(srt[math.ceil(q * len(v)) - 1])
+        assert got[q] == want and type(got[q]) is int, (q, got[q], want)
+    for k in (10, 1000, 2250):
+        got_k = kth_smallest(ds, "x", k)
+        assert got_k == int(srt[k]) and type(got_k) is int, (k, got_k)
+
+
+def test_exact_quantiles_nan_tail(ray_session):
+    """NaN sorts last and counts toward n at every budget: a rank inside
+    the NaN tail is NaN, finite ranks are the NaN-last np.sort element."""
+    import math
+
+    import ray.data as rd
+
+    from logray.stages.aggregate import exact_quantiles
+
+    rng = np.random.default_rng(3)
+    v = np.round(rng.standard_normal(3000), 3)
+    v[rng.choice(3000, 541, replace=False)] = np.nan
+    ds = rd.from_arrow(pa.table({"v": pa.array(v)})).repartition(4)
+    qs = [0.1, 0.5, 0.8, 0.9, 1.0]
+    got = exact_quantiles(ds, "v", qs, max_bracket_rows=100)
+    srt = np.sort(v)
+    for q in qs:
+        want = srt[math.ceil(q * len(v)) - 1]
+        assert got[q] == want or (math.isnan(got[q]) and math.isnan(want)), (q, got[q])
+    assert [got[q] for q in qs[:3]] == [-1.137, 0.322, 1.979]
+    assert math.isnan(got[0.9]) and math.isnan(got[1.0])
+
+
+def test_selector_pass_count(ray_session, monkeypatch):
+    """Streaming passes (one iter_batches each) stay few under a small
+    bracket budget, and kth_smallest takes no pass beyond exact_quantiles
+    for the same rank (no NaN pre-pass of its own)."""
+    import ray.data as rd
+
+    from logray.stages import aggregate
+
+    v = np.random.default_rng(0).standard_normal(200_000)
+    ds = rd.from_arrow(pa.table({"v": pa.array(v)})).repartition(4)
+    passes = [0]
+    iter_batches = rd.Dataset.iter_batches
+
+    def counting(self, *a, **k):
+        passes[0] += 1
+        return iter_batches(self, *a, **k)
+
+    select = aggregate._select
+    monkeypatch.setattr(rd.Dataset, "iter_batches", counting)
+    monkeypatch.setattr(aggregate, "_select", lambda ds, col, ranks, **kw: select(
+        ds, col, ranks, **{**kw, "max_bracket_rows": 1000}))
+
+    def count(fn):
+        passes[0] = 0
+        got = fn()
+        return got, passes[0]
+
+    srt = np.sort(v)
+    got, eq = count(lambda: aggregate.exact_quantiles(ds, "v", [0.5], max_bracket_rows=1000))
+    assert got[0.5] == srt[99_999] and eq <= 6, eq
+    # q = 0.5 is rank ceil(0.5 * n) - 1 = 99_999
+    got, kth = count(lambda: aggregate.kth_smallest(ds, "v", 99_999))
+    assert got == srt[99_999] and kth <= eq, (kth, eq)
+    got, kth = count(lambda: aggregate.kth_smallest(ds, "v", 100_000))
+    assert got == srt[100_000] and kth <= 6, kth
 
 
 def test_tdigest_approx_quantiles_dataset(ray_session):

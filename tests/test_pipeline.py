@@ -150,7 +150,9 @@ def test_pipeline_actor_pool_parse(ray_session, tmp_path):
 
     table = synth_transcripts_table(n_convs=25, seed=13)
     cfg_pool = replace(CFG, parse_concurrency=2)
-    m = run_pipeline(rd.from_arrow(table), cfg_pool, str(tmp_path), write_metrics=False)
+    # several input blocks, so the two-actor pool really runs two actors
+    ds = rd.from_arrow(table).repartition(4)
+    m = run_pipeline(ds, cfg_pool, str(tmp_path), write_metrics=False)
     want = _expected_counts(table)
     assert m["routes"]["info"] == want["info"]
     assert m["turns_total"] == table.num_rows

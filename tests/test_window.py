@@ -225,12 +225,12 @@ def test_kth_smallest(ray_session):
 
 def test_kth_smallest_non_numeric(ray_session, monkeypatch):
     """String and timestamp columns go through the value-space bisection
-    (_kth_ordered) — the non-numeric support the old sort-based
+    (_select) — the non-numeric support the old sort-based
     implementation had, still with NO sort of the dataset."""
     import numpy as np
     import ray.data as rd
 
-    from logray.stages.aggregate import _kth_ordered, kth_smallest
+    from logray.stages.aggregate import _select, kth_smallest
 
     def boom(self, *a, **k):
         raise AssertionError("kth_smallest must not sort the dataset")
@@ -243,7 +243,7 @@ def test_kth_smallest_non_numeric(ray_session, monkeypatch):
     srt = np.sort(s)
     for k in [0, 1, 1499, 2999]:
         # tiny bracket budget forces the pivot-count bisection paths
-        assert _kth_ordered(ds, "v", k, max_bracket_rows=40) == srt[k]
+        assert _select(ds, "v", lambda _n: [k], max_bracket_rows=40) == [srt[k]]
         assert kth_smallest(ds, "v", k) == srt[k]
     assert kth_smallest(ds, "v", 3000) is None
 
@@ -256,7 +256,7 @@ def test_kth_smallest_non_numeric(ray_session, monkeypatch):
 
     # all-duplicates bracket resolves via the strict-below proof
     const = rd.from_arrow(pa.table({"v": ["x"] * 800})).repartition(3)
-    assert _kth_ordered(const, "v", 799, max_bracket_rows=10) == "x"
+    assert _select(const, "v", lambda _n: [799], max_bracket_rows=10) == ["x"]
 
 
 def test_kth_smallest_never_sorts(ray_session, monkeypatch):
