@@ -654,8 +654,8 @@ def _q_events_window(sf_dir: str):
 
 
 def _q_dialogue_concat(sf_dir: str):
-    """Bucketed dialogue folding (one pandas groupby-join per bucket, not
-    one Ray group per conversation)."""
+    """Bucketed dialogue folding (one Arrow kernel per bucket, not one Ray
+    group per conversation)."""
     from logray.stages.reassemble import fold_dialogues
 
     ds = transcripts_from_events(sf_dir)

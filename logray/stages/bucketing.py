@@ -208,7 +208,11 @@ def grouped_apply(ds, key_cols, fn, num_buckets: int = 32,
     tag on the FIRST column (same-first-column keys co-locate; fn still
     groups exactly).  A per-batch pre-step (a combiner such as a local
     dedup or top-k prune) goes in as ``grouped_apply(ds.map_batches(pre),
-    ...)``; Ray fuses it with the tagger into one map."""
+    ...)``; Ray fuses it with the tagger into one map.  A string-heavy
+    reducer should take ``batch_format="pyarrow"`` and run an Arrow kernel
+    per bucket (``reassemble._fold_bucket``, ``sequence._count_windows``):
+    with ``"pandas"`` every text value becomes a Python object, and that
+    conversion, not the shuffle, dominates the reducer's cost."""
     key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
     tagged = ds.map_batches(bucket_tagger(key_cols[0], num_buckets),
                             batch_format="pyarrow", zero_copy_batch=True)

@@ -20,11 +20,16 @@ equivalents:
 
 from __future__ import annotations
 
+import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from logray.stages.bucketing import grouped_apply, stream_fold
+
+# preview pulls up to n rows from every batch to the driver: an n this
+# large is a bulk read, which ordered_view serves
+MAX_PREVIEW_ROWS = 10_000
 
 
 def reassemble_conversations(ds, fn=None, conv_col: str = "conv_id", turn_col: str = "turn_idx"):
@@ -43,14 +48,44 @@ def fold_dialogue(sep: str = "\n", text_col: str = "text",
                   conv_col: str = "conv_id", turn_col: str = "turn_idx"):
     """Per-conversation transform for :func:`reassemble_conversations` that
     folds the ordered turns into one dialogue string per conversation
-    (SQL twin: ``string_agg(text, sep ORDER BY turn_idx)``)."""
+    (SQL twin: ``string_agg(text, sep ORDER BY turn_idx)``).  As in
+    ``string_agg``, null texts are skipped and a conversation whose texts
+    are all null gets a null dialogue."""
 
     def fn(g: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(
-            {conv_col: [g[conv_col].iloc[0]], "dialogue": [sep.join(g[text_col].astype(str))]}
-        )
+        texts = g[text_col].dropna()
+        dialogue = sep.join(texts.astype(str)) if len(texts) else None
+        return pd.DataFrame({conv_col: [g[conv_col].iloc[0]], "dialogue": [dialogue]})
 
     return fn
+
+
+def _fold_bucket(t: pa.Table, sep: str = "\n", text_col: str = "text",
+                conv_col: str = "conv_id", turn_col: str = "turn_idx") -> pa.Table:
+    """The Arrow kernel :func:`fold_dialogues` runs on each bucket:
+    ``(conv_col, dialogue)``, one row per conversation in ``t``.  A stable
+    sort on (conv, turn), run starts on conv, one ``ListArray`` of the
+    non-null texts per run, ``binary_join``.  Rows with a null conv are
+    dropped; null texts are skipped and an all-null conversation gets a
+    null dialogue (the ``string_agg`` rule)."""
+    t = t.filter(pc.invert(pc.is_null(t[conv_col], nan_is_null=True)))
+    t = t.take(pc.sort_indices(t, sort_keys=[(conv_col, "ascending"),
+                                             (turn_col, "ascending")]))
+    conv = t[conv_col].combine_chunks()
+    text = t[text_col].combine_chunks()
+    if not (pa.types.is_string(text.type) or pa.types.is_large_string(text.type)):
+        text = text.cast(pa.string())  # e.g. an all-null block's null type
+    starts = np.ones(len(conv), np.bool_)
+    if len(conv) > 1:
+        starts[1:] = pc.not_equal(conv[1:], conv[:-1]).to_numpy(zero_copy_only=False)
+    run_id = np.cumsum(starts) - 1
+    valid = text.is_valid().to_numpy(zero_copy_only=False)
+    counts = np.bincount(run_id[valid], minlength=int(starts.sum()))
+    offsets = pa.array(np.concatenate([[0], np.cumsum(counts)]), pa.int32())
+    lists = pa.ListArray.from_arrays(offsets, text.filter(pa.array(valid)),
+                                     mask=pa.array(counts == 0))
+    return pa.table({conv_col: conv.filter(pa.array(starts)),
+                     "dialogue": pc.binary_join(lists, sep)})
 
 
 def fold_dialogues(ds, sep: str = "\n", text_col: str = "text",
@@ -58,16 +93,15 @@ def fold_dialogues(ds, sep: str = "\n", text_col: str = "text",
                    num_buckets: int = 32):
     """One dialogue string per conversation (turns joined in order) —
     the BUCKETED fast path for :func:`fold_dialogue`: shuffle on
-    ``hash(conv) % num_buckets`` and fold each bucket with one pandas
-    ``groupby(conv).agg(join)`` over the (conv, turn)-sorted frame, instead
-    of one Ray group per conversation."""
-
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values([conv_col, turn_col], kind="mergesort")
-        s = g.groupby(conv_col, sort=False)[text_col].agg(lambda x: sep.join(x.astype(str)))
-        return pd.DataFrame({conv_col: s.index.to_numpy(), "dialogue": s.to_numpy()})
-
-    return grouped_apply(ds, conv_col, per_bucket, num_buckets=num_buckets)
+    ``hash(conv) % num_buckets`` and fold each bucket with one Arrow
+    kernel (:func:`_fold_bucket`) instead of one Ray group per
+    conversation; no turn text becomes a Python object.  Same rules as
+    ``string_agg``: null texts are skipped, an all-null conversation gets
+    a null dialogue, and rows with a null conv are dropped."""
+    return grouped_apply(
+        ds, conv_col,
+        lambda t: _fold_bucket(t, sep, text_col, conv_col, turn_col),
+        num_buckets=num_buckets, batch_format="pyarrow")
 
 
 def conversation_stats(ds, conv_col: str = "conv_id", ts_col: str = "ts"):
@@ -109,9 +143,14 @@ def preview(view, n: int = 20, from_key: tuple | None = None, backward: bool = F
     order — or, with ``backward=True``, the last ``n`` rows at/before it
     (the getPreviousValidLine paging direction).  Per-batch top-n winners
     stream to the driver, which merges the tiny candidate set — cost
-    O(rows) scan, O(batches*n) merge."""
+    O(rows) scan, O(batches*n) merge, so ``n`` is capped at
+    :data:`MAX_PREVIEW_ROWS`; page through :func:`ordered_view` for more."""
     if n < 0:
         raise ValueError(f"preview: n must be >= 0, got {n}")
+    if n > MAX_PREVIEW_ROWS:
+        raise ValueError(
+            f"preview: n={n} exceeds MAX_PREVIEW_ROWS={MAX_PREVIEW_ROWS}; "
+            "use ordered_view(ds) and iterate it for bulk reads")
     direction = "descending" if backward else "ascending"
 
     def topn(t: pa.Table) -> pa.Table:

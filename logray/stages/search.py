@@ -22,6 +22,10 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+# local_to_global pulls up to ordinal+1 (conv, turn) rows from every batch
+# to the driver: an ordinal this large is a bulk enumeration
+MAX_ORDINAL = 100_000
+
 
 def global_to_local(view, key: tuple, conv_col: str = "conv_id", turn_col: str = "turn_idx") -> int:
     """Local ordinal of global position ``key=(conv_id, turn_idx)`` within
@@ -46,9 +50,14 @@ def local_to_global(view, ordinal: int, conv_col: str = "conv_id", turn_col: str
 
     Per-batch (ordinal+1)-smallest candidates stream to the driver, which
     merges — O(batches x ordinal) driver memory, intended for interactive
-    jump targets, not bulk enumeration (use ordered_view for that)."""
+    jump targets, not bulk enumeration: an ordinal above
+    :data:`MAX_ORDINAL` raises (use ordered_view for that)."""
     if ordinal < 0:
         raise ValueError(f"local_to_global: ordinal must be >= 0, got {ordinal}")
+    if ordinal > MAX_ORDINAL:
+        raise ValueError(
+            f"local_to_global: ordinal={ordinal} exceeds MAX_ORDINAL={MAX_ORDINAL}; "
+            "use reassemble.ordered_view(view) and iterate it for bulk enumeration")
     k = ordinal + 1
 
     def topk(t: pa.Table) -> pa.Table:

@@ -6,17 +6,21 @@ happens next / how far do users get / do they come back" —
 generalizing the per-conversation ordering contract of
 ``src/file_parsing/log_parser_interface.hpp`` paging to keyed streams).
 
-All three share one scale shape: ONE ``hash(key) % B`` bucket shuffle
+All share one scale shape: ONE ``hash(key) % B`` bucket shuffle
 co-locates each key's rows, a vectorized segmented kernel reduces every
-bucket (mergesort + run boundaries, numpy reduceat — no per-key
-Python), and only tiny count partials reach the driver fold
-(:func:`logray.stages.bucketing.stream_fold`)."""
+bucket with no per-key Python, and only tiny count partials reach the
+driver fold (:func:`logray.stages.bucketing.stream_fold`).  Transition
+counts run an Arrow kernel per bucket (:func:`_count_windows`: sort,
+same-key test on offset slices, Arrow ``group_by``), so no value
+becomes a Python object; the other operators run a pandas kernel
+(mergesort + run boundaries, numpy reduceat)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from logray.stages.bucketing import grouped_apply, stream_fold
 from logray.stages.windowfn import _sorted_runs
@@ -50,31 +54,31 @@ def _transition_cols(order: int) -> list[str]:
             if order > 1 else ["from_val"]) + ["to_val"]
 
 
-def _count_windows(keys: np.ndarray, vals: np.ndarray, order: int,
-                   names: list[str], end_lo: int, end_hi: int) -> pd.DataFrame:
-    """Count length-(order+1) windows over a KEY-SORTED row stream whose
-    END index lies in [end_lo, end_hi).  A window is valid when its two
-    end rows share a key (sortedness makes the middle rows equal too;
-    null keys pool like SQL GROUP BY) and no ``from`` position is null.
-    Returns the (names..., n) partial frame."""
-    e = np.arange(max(end_lo, order), min(end_hi, len(keys)), dtype=np.int64)
-    if not len(e):
-        return pd.DataFrame({**{c: [] for c in names}, "n": []})
-    na = pd.isna(keys)
-    same = (keys[e] == keys[e - order]) | (na[e] & na[e - order])
-    e = e[np.asarray(same, np.bool_)]
-    rows = {}
-    keep = np.ones(len(e), np.bool_)
-    for j, name in enumerate(names):
-        col = vals[e - (order - j)]
-        if name != "to_val":
-            keep &= ~pd.isna(col)
-        rows[name] = col
-    p = pd.DataFrame({k: c[keep] for k, c in rows.items()})
-    s = (p.groupby(names, sort=False, dropna=False)
-         .size().reset_index(name="n"))
-    s["n"] = s["n"].astype(np.int64)
-    return s
+def _isna(a) -> pa.Array:
+    return pc.is_null(a, nan_is_null=True)
+
+
+def _count_windows(t: pa.Table, key_col: str, val_col: str, order: int,
+                   names: list[str], end_lo: int = 0) -> pa.Table:
+    """Count the length-(order+1) windows of ``val_col`` over a KEY-SORTED
+    table whose END row index is at least ``end_lo``.  A window is valid
+    when its two end rows share a key (sortedness makes the middle rows
+    equal too; null keys pool like SQL GROUP BY) and no ``from`` position
+    is null (NaN counts as null).  Returns the (names..., n) partial
+    table."""
+    keys, vals = t[key_col], t[val_col]
+    lo = max(end_lo, order)
+    m = max(t.num_rows - lo, 0)
+    end, start = keys.slice(lo, m), keys.slice(lo - order, m)
+    keep = pc.and_(_isna(end), _isna(start))
+    if not pa.types.is_null(keys.type):
+        keep = pc.or_(keep, pc.fill_null(pc.equal(end, start), False))
+    cols = [vals.slice(lo - (order - j), m) for j in range(len(names))]
+    for col in cols[:-1]:
+        keep = pc.and_(keep, pc.invert(_isna(col)))
+    p = pa.table(cols, names=names).filter(keep)
+    return (p.group_by(names).aggregate([([], "count_all")])
+            .rename_columns(names + ["n"]))
 
 
 def transition_counts(ds, key_col: str, order_col: str, val_col: str,
@@ -91,7 +95,7 @@ def transition_counts(ds, key_col: str, order_col: str, val_col: str,
     boundary and genuine null values alike).
 
     ``skew_safe=True`` switches the physical plan from the bucket
-    shuffle (one pandas frame per ``hash(key) % B`` bucket — a
+    shuffle (one Arrow table per ``hash(key) % B`` bucket — a
     pathologically hot key inflates its bucket unboundedly) to a
     RANGE-SORTED block plan: Ray's sample-based sort splits even a
     single dominant key across many bounded blocks; each block counts
@@ -101,7 +105,8 @@ def transition_counts(ds, key_col: str, order_col: str, val_col: str,
     distribution.  Only the narrow (key, order cols, val) projection
     goes through the sort.  Identical output (pinned by the hot-key
     test); default stays the bucket plan, which is cheaper when keys
-    are well distributed."""
+    are well distributed.  Both plans count with one Arrow kernel,
+    :func:`_count_windows`."""
     if order < 1:
         raise ValueError("order must be >= 1")
     order_cols = [order_col] + ([tiebreak_col] if tiebreak_col else [])
@@ -110,28 +115,13 @@ def transition_counts(ds, key_col: str, order_col: str, val_col: str,
         return _transition_counts_sorted(ds, key_col, order_cols, val_col,
                                          names, order, as_pandas)
 
-    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g, run_id, _first = _sorted_runs(g, key_col, order_cols)
-        v = g[val_col].to_numpy()
-        n = len(g)
-        ok = np.zeros(n, np.bool_)
-        if n > order:
-            ok[order:] = run_id[order:] == run_id[:-order]
-        rows = {}
-        idx = np.flatnonzero(ok)
-        keep = np.ones(len(idx), np.bool_)
-        for j, name in enumerate(names):
-            col = v[idx - (order - j)]
-            if name != "to_val":
-                keep &= ~pd.isna(col)
-            rows[name] = col
-        p = pd.DataFrame({k: c[keep] for k, c in rows.items()})
-        s = (p.groupby(names, sort=False, dropna=False)
-             .size().reset_index(name="n"))
-        s["n"] = s["n"].astype(np.int64)
-        return s
+    def per_bucket(t: pa.Table) -> pa.Table:
+        t = t.take(pc.sort_indices(
+            t, sort_keys=[(c, "ascending") for c in [key_col] + order_cols]))
+        return _count_windows(t, key_col, val_col, order, names)
 
-    parts = grouped_apply(ds, key_col, per_bucket, num_buckets=num_buckets)
+    parts = grouped_apply(ds, key_col, per_bucket, num_buckets=num_buckets,
+                          batch_format="pyarrow")
     folded = stream_fold(parts, _fold_sum(names))
     if folded is None:
         folded = pa.table({**{c: [] for c in names},
@@ -149,8 +139,22 @@ def _transition_counts_sorted(ds, key_col: str, order_cols: list[str],
 
     from logray.functions.packing import _to_table
 
-    narrow = ds.select_columns([key_col] + order_cols + [val_col])
-    sorted_ds = narrow.sort([key_col] + order_cols).materialize()
+    null_col = "__key_is_null"
+
+    def sortable(t: pa.Table) -> pa.Table:
+        # Ray's range sort compares key values in Python, which fails on a
+        # null next to a string: sort on (key is null, key with its nulls
+        # filled by any one value), and restore the nulls before counting
+        k = t[key_col]
+        t = t.append_column(null_col, pc.is_null(k))
+        if k.null_count:
+            t = t.set_column(t.schema.get_field_index(key_col), key_col,
+                             pc.fill_null(k, pa.scalar(0).cast(k.type)))
+        return t
+
+    narrow = ds.select_columns([key_col] + order_cols + [val_col]).map_batches(
+        sortable, batch_format="pyarrow", zero_copy_batch=True)
+    sorted_ds = narrow.sort([null_col, key_col] + order_cols).materialize()
     blocks = [blk for bundle in sorted_ds.iter_internal_ref_bundles()
               for blk in bundle.blocks]
     refs = [r for r, _m in blocks]
@@ -158,36 +162,34 @@ def _transition_counts_sorted(ds, key_col: str, order_cols: list[str],
     def block_partial(blk):
         t = _to_table(blk)
         if t.num_rows == 0:  # empty blocks can come back schema-less
-            z = np.zeros(0, object)
-            return (pa.table({}), z, z, z, z)
-        keys = t[key_col].to_numpy(zero_copy_only=False)
-        vals = t[val_col].to_numpy(zero_copy_only=False)
-        n = len(keys)
-        part = _count_windows(keys, vals, order, names, order, n)
-        k = min(order, n)
-        return (pa.Table.from_pandas(part, preserve_index=False),
-                keys[:k], vals[:k], keys[n - k:], vals[n - k:])
+            return None
+        kv = pa.table({
+            key_col: pc.if_else(t[null_col], pa.scalar(None, t[key_col].type),
+                                t[key_col]),
+            val_col: t[val_col]})
+        k = min(order, kv.num_rows)
+        part = _count_windows(kv, key_col, val_col, order, names)
+        return part, kv.slice(0, k), kv.slice(kv.num_rows - k)
 
     task = ray.remote(num_cpus=0.5)(block_partial)
-    results = ray.get([task.remote(r) for r in refs])
+    results = [r for r in ray.get([task.remote(r) for r in refs])
+               if r is not None]
 
-    partials = [p for p, *_ in results if p.num_rows]
+    partials = [p for p, _h, _t in results if p.num_rows]
     # driver stitch: the carry holds at most `order` rows, so seam
     # windows (end in a block's head, start before the block) are
     # counted over <= 2*order rows per block — O(order * num_blocks)
-    carry_k = np.zeros(0, object)
-    carry_v = np.zeros(0, object)
     seams = []
-    for _p, hk, hv, tk, tv in results:
-        if len(hk):
-            ck = np.concatenate([carry_k, hk])
-            cv = np.concatenate([carry_v, hv])
-            seam = _count_windows(ck, cv, order, names,
-                                  len(carry_k), len(carry_k) + len(hk))
-            if len(seam):
-                seams.append(pa.Table.from_pandas(seam, preserve_index=False))
-        carry_k = np.concatenate([carry_k, tk])[-order:]
-        carry_v = np.concatenate([carry_v, tv])[-order:]
+    carry = None
+    for _p, head, tail in results:
+        if carry is not None:
+            kv = pa.concat_tables([carry, head], promote_options="default")
+            seam = _count_windows(kv, key_col, val_col, order, names,
+                                  carry.num_rows)
+            if seam.num_rows:
+                seams.append(seam)
+            tail = pa.concat_tables([carry, tail], promote_options="default")
+        carry = tail.slice(max(tail.num_rows - order, 0))
     folded = _fold_sum(names)(partials + seams) if partials + seams else None
     if folded is None:
         folded = pa.table({**{c: [] for c in names},

@@ -3,6 +3,7 @@
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from logray.stages.window import (
@@ -12,8 +13,13 @@ from logray.stages.window import (
     sessions_per_key,
     tumbling_window,
 )
-from logray.stages.search import global_to_local, local_to_global
-from logray.stages.reassemble import fold_dialogue, preview, reassemble_conversations
+from logray.stages.search import MAX_ORDINAL, global_to_local, local_to_global
+from logray.stages.reassemble import (
+    MAX_PREVIEW_ROWS,
+    fold_dialogue,
+    preview,
+    reassemble_conversations,
+)
 
 
 def test_session_ids_unit():
@@ -152,6 +158,24 @@ def test_negative_ordinal_and_n_rejected(ray_session, call):
         call(view)
 
 
+@pytest.mark.parametrize("call", [
+    lambda v: local_to_global(v, MAX_ORDINAL + 1),
+    lambda v: preview(v, n=MAX_PREVIEW_ROWS + 1),
+])
+def test_bulk_ordinal_and_n_rejected_before_ray_work(call):
+    """``local_to_global`` and ``preview`` pull up to ordinal+1 / n rows
+    from every batch to the driver; above the module cap they raise,
+    pointing at ``ordered_view``, before touching the view (a Dataset
+    stand-in whose every attribute access fails proves no Ray work)."""
+
+    class NoWork:
+        def __getattr__(self, name):
+            raise AssertionError(f"view.{name} used")
+
+    with pytest.raises(ValueError, match="ordered_view"):
+        call(NoWork())
+
+
 def test_global_to_local_roundtrip(info_view):
     for local, glob in enumerate(INFO_LINES):
         assert global_to_local(info_view, ("g", glob)) == local
@@ -184,6 +208,125 @@ def test_fold_dialogue(ray_session):
     out = reassemble_conversations(rd.from_arrow(t), fold_dialogue(" | ")).to_pandas()
     got = dict(zip(out["conv_id"], out["dialogue"]))
     assert got == {"c1": "first | second | third", "c2": "solo"}
+
+
+def _reassembly_frame() -> pd.DataFrame:
+    """Turns stored in reverse turn order, a hot conversation (half the
+    rows), null conv ids, null texts, one conversation whose texts are
+    all null, and a float value with both NaN and null entries."""
+    rng = np.random.default_rng(17)
+    n = 1200
+    conv = np.array([f"c{i}" for i in rng.integers(0, 40, n)], dtype=object)
+    conv[rng.random(n) < 0.5] = "hot"
+    conv[rng.random(n) < 0.05] = None
+    conv[:6] = "all_null"
+    text = np.array([f"t{i}" for i in range(n)], dtype=object)
+    text[rng.random(n) < 0.1] = None
+    text[:6] = None
+    val = rng.integers(0, 4, n).astype(object)
+    val[rng.random(n) < 0.08] = float("nan")
+    val[rng.random(n) < 0.08] = None
+    df = pd.DataFrame({"conv_id": conv, "turn_idx": np.arange(n, dtype=np.int64),
+                       "text": text, "val": val})
+    return df.iloc[::-1].reset_index(drop=True)
+
+
+def _reassembly_ds(df, blocks: int = 5):
+    """Arrow blocks that keep NaN as a value, distinct from null."""
+    import ray.data as rd
+
+    t = pa.table({
+        "conv_id": pa.array(df["conv_id"].tolist(), pa.string()),
+        "turn_idx": pa.array(df["turn_idx"].to_numpy()),
+        "text": pa.array(df["text"].tolist(), pa.string()),
+        "val": pa.array(df["val"].tolist(), pa.float64()),
+    })
+    assert pc.sum(pc.is_nan(t["val"])).as_py() > 0 and t["val"].null_count > 0
+    return rd.from_arrow(t).repartition(blocks)
+
+
+def test_fold_dialogues_matches_duckdb_string_agg(ray_session):
+    """string_agg skips null texts and gives an all-null conversation a
+    null dialogue (both folds used to write the text "None"); rows with
+    a null conv_id are dropped."""
+    import duckdb
+
+    from logray.stages.reassemble import fold_dialogues
+
+    df = _reassembly_frame()
+    con = duckdb.connect()
+    con.register("t", df)
+    want = con.sql(
+        "SELECT conv_id, string_agg(text, '\n' ORDER BY turn_idx) AS dialogue "
+        "FROM t WHERE conv_id IS NOT NULL GROUP BY conv_id").df()
+    want = dict(zip(want["conv_id"], want["dialogue"]))
+    assert want["all_null"] is None
+    got = fold_dialogues(_reassembly_ds(df), num_buckets=4).to_pandas()
+    assert dict(zip(got["conv_id"], got["dialogue"])) == want
+    ds = _reassembly_ds(df[df["conv_id"].notna()])
+    got = reassemble_conversations(ds, fold_dialogue()).to_pandas()
+    assert dict(zip(got["conv_id"], got["dialogue"])) == want
+
+
+@pytest.mark.parametrize("skew_safe", [False, True])
+@pytest.mark.parametrize("order", [1, 2])
+def test_transition_counts_nan_null_keys_match_duckdb(ray_session, order,
+                                                      skew_safe):
+    """Both plans against the DuckDB twin on a hot key, null keys and a
+    float value holding NaN and null: a NaN predecessor drops its window
+    like a null one (DuckDB reads the pandas NaN as NULL).  The
+    skew-safe plan used to fail inside Ray's range sort on a null string
+    key next to a non-null one."""
+    import duckdb
+
+    from logray.stages.sequence import transition_counts, transition_counts_sql
+
+    df = _reassembly_frame()
+    names = _tc_names(order)
+    got = (transition_counts(_reassembly_ds(df), "conv_id", "turn_idx", "val",
+                             num_buckets=4, order=order, skew_safe=skew_safe)
+           .sort_values(names).reset_index(drop=True))
+    con = duckdb.connect()
+    con.register("t", df.astype({"val": np.float64}))
+    want = con.sql(transition_counts_sql("t", "conv_id", "turn_idx", "val",
+                                         order=order)
+                   + " ORDER BY " + ", ".join(names) + " NULLS LAST").df()
+    pd.testing.assert_frame_equal(got, want)
+
+
+def test_reassembly_kernels_on_empty_tables():
+    """The per-bucket Arrow kernels keep a typed schema on empty input."""
+    from logray.stages.reassemble import _fold_bucket
+    from logray.stages.sequence import _count_windows
+
+    t = pa.table({"conv_id": pa.array([], pa.string()),
+                  "turn_idx": pa.array([], pa.int64()),
+                  "text": pa.array([], pa.string()),
+                  "val": pa.array([], pa.float64())})
+    out = _fold_bucket(t)
+    assert out.num_rows == 0
+    assert out.schema == pa.schema([("conv_id", pa.string()),
+                                    ("dialogue", pa.string())])
+    for order in (1, 2):
+        out = _count_windows(t, "conv_id", "val", order, _tc_names(order))
+        assert out.num_rows == 0
+        assert out.schema == pa.schema(
+            [(c, pa.float64()) for c in _tc_names(order)] + [("n", pa.int64())])
+
+
+def test_reassembly_reducers_stay_in_arrow():
+    """The reassemble reducers take the bucket as a pa.Table and never
+    convert it: a pandas round trip turns every turn text into a Python
+    object, which was most of the workload's cost."""
+    import inspect
+
+    from logray.stages import reassemble, sequence
+
+    for fn in (reassemble._fold_bucket, sequence._count_windows):
+        src = inspect.getsource(fn)
+        assert "pd." not in src and "to_pandas" not in src and "to_pylist" not in src
+    for fn in (reassemble.fold_dialogues, sequence.transition_counts):
+        assert 'batch_format="pyarrow"' in inspect.getsource(fn)
 
 
 def test_randomized_local_access(info_view):
