@@ -49,7 +49,8 @@ from logray.functions.fingerprint import (
     simhash,
 )
 from logray.functions.vertexshard import ShardRun, VertexShard
-from logray.stages.bucketing import BUCKET_COL, bucket_exchange
+from logray.stages.bucketing import (BUCKET_COL, bucket_exchange, grouped_apply,
+                                     run_starts)
 
 # ---------------------------------------------------------------------------
 # exact dedup
@@ -170,14 +171,23 @@ def _explode_bands_fn(text_col: str, id_col: str, num_perm: int, bands: int,
 
 
 def _bucket_pairs_fn(id_col: str, threshold: float, num_perm: int, max_bucket: int):
-    """map_groups fn: one (band_id, band_hash) bucket -> verified pairs."""
+    """Bucket kernel: band rows -> verified pairs, one candidate set per
+    ``(band_id, band_hash)`` run, so a whole exchange bucket is one call."""
 
     def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) < 2:
-            return pd.DataFrame({"id_a": [], "id_b": [], "est_jaccard": []})
-        ids = g[id_col].to_numpy()
-        sigs = np.stack(g["sig"].to_numpy())
-        a, b, s = _pairs_from_bucket(ids, sigs, threshold, num_perm, max_bucket)
+        g = g.sort_values(["band_id", "band_hash"], kind="stable")
+        starts = np.flatnonzero(run_starts(g["band_id"].to_numpy())
+                                | run_starts(g["band_hash"].to_numpy()))
+        ends = np.append(starts[1:], len(g))
+        ids, sig = g[id_col].to_numpy(), g["sig"].to_numpy()
+        out = [(ids[:0], ids[:0], np.zeros(0))]
+        for lo, hi in zip(starts, ends):
+            if hi - lo > 1:
+                run = _pairs_from_bucket(ids[lo:hi], np.stack(sig[lo:hi]),
+                                         threshold, num_perm, max_bucket)
+                if len(run[0]):
+                    out.append(run)
+        a, b, s = (np.concatenate(c) for c in zip(*out))
         return pd.DataFrame({"id_a": a, "id_b": b, "est_jaccard": s})
 
     return bucket_pairs
@@ -202,17 +212,12 @@ def minhash_lsh_dedup(
     collides in several bands appears once per colliding band.  Downstream
     consumers that are idempotent over repeats (connected components /
     keep-min dedup) should pass False and save a full shuffle."""
-    pairs = (
+    pairs = grouped_apply(
         ds.map_batches(
             _explode_bands_fn(text_col, id_col, num_perm, bands, k, seed),
             batch_format="pyarrow", zero_copy_batch=True,
-        )
-        .groupby(["band_id", "band_hash"])
-        .map_groups(
-            _bucket_pairs_fn(id_col, threshold, num_perm, max_bucket),
-            batch_format="pandas",
-        )
-    )
+        ),
+        "band_hash", _bucket_pairs_fn(id_col, threshold, num_perm, max_bucket))
     if not distinct:
         return pairs
     # a pair can surface from several bands: keep one copy

@@ -11,10 +11,12 @@ its own partition axis:
    Embarrassingly parallel, the bulk of the CPU time.
 2. **pairs** — per BAND: band rows for one band (selected at the PATH
    level via the ``band_id=<b>/`` hive directories — band rows are
-   written doc-major, so a row filter could never prune) are grouped by
-   band_hash; each bucket emits signature-verified candidate pairs
-   (hot-bucket cap applies).  Bands are independent, so each is a
-   resumable partition of the only wide shuffle.
+   written doc-major, so a row filter could never prune) go through one
+   ``grouped_apply`` on band_hash; each band_hash run emits
+   signature-verified candidate pairs (hot-bucket cap applies).  Bands
+   are independent, so each is a resumable partition of the only wide
+   shuffle.  Phases 1+2 are one
+   :func:`~logray.state.manifest.resumable_exchange`.
 3. **closure** — single partition: all pairs -> connected components ->
    the drop list (non-minimum cluster members).  Pairs are orders of
    magnitude smaller than the corpus; the driver union-find is the
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -42,8 +45,9 @@ from logray.functions.dedup import (
     connected_components,
     connected_components_distributed,
 )
-from logray.state.manifest import (check_run_config, default_partitions,
-                                   part_files, part_files_hive,
+from logray.stages.bucketing import grouped_apply
+from logray.state.manifest import (check_run_config, committed_files,
+                                   map_phase, resumable_exchange,
                                    run_resumable)
 
 
@@ -68,13 +72,12 @@ def near_dedup_resumable(
     after a crash: finished partitions of every phase are skipped.
 
     ``_fault(phase, part_id)`` is a test-only fault-injection hook called
-    before each partition executes."""
+    before each partition executes.  ``partitions`` overrides the
+    one-per-input-file default — phase chaining
+    (:func:`logray.state.manifest.partitions_from_parts`) feeds a prior
+    resumable phase's published files in directly."""
     import ray
     import ray.data as rd
-
-    def fault(phase, part_id):
-        if _fault is not None:
-            _fault(phase, part_id)
 
     check_run_config(out_dir, {
         "op": "near_dedup", "text_col": text_col, "id_col": id_col,
@@ -82,76 +85,44 @@ def near_dedup_resumable(
         "threshold": threshold, "seed": seed, "max_bucket": max_bucket,
         "layout": "hive_band_v2",
     })
-    # `partitions` overrides the one-per-input-file default — phase
-    # chaining (manifest.partitions_from_parts) feeds a prior resumable
-    # phase's published files in directly
-    input_parts = partitions if partitions is not None \
-        else default_partitions(input_path)
 
-    # --- phase 1: band rows per input file --------------------------------
-    bands_dir = os.path.join(out_dir, "bands")
+    # --- phases 1+2: band rows per input file, pairs per band --------------
     explode = _explode_bands_fn(text_col, id_col, num_perm, bands, k, seed)
-
-    def run_bands(files, pdir, *, part_id=None):
-        fault("bands", part_id)
-        ds = rd.read_parquet(files, columns=[id_col, text_col])
-        # hive-partition by band so phase 2 prunes at the PATH level:
-        # band_id is written doc-major (every row group spans all bands),
-        # so a row filter can never prune and would rescan the whole
-        # bands output once per band
-        ds.map_batches(explode, batch_format="pyarrow", zero_copy_batch=True
-                       ).write_parquet(pdir, partition_cols=["band_id"])
-        return {}
-
-    run_resumable(input_path, bands_dir, run_bands, partitions=input_parts,
-                  max_concurrent=max_concurrent)
-
-    # --- phase 2: pairs per band ------------------------------------------
-    pairs_dir = os.path.join(out_dir, "pairs")
     bucket_pairs = _bucket_pairs_fn(id_col, threshold, num_perm, max_bucket)
 
-    def run_band_pairs(band_ids, pdir):
-        b = band_ids[0]
-        fault("pairs", f"band{b:03d}")
-        files_b = part_files_hive(bands_dir, "band_id", b)
-        if not files_b:
-            return {}
-        ds = rd.read_parquet(files_b)
-        pairs = ds.groupby("band_hash").map_groups(bucket_pairs, batch_format="pandas")
-        pairs.write_parquet(pdir)
+    def band_pairs(files, pdir):
+        if files:
+            grouped_apply(rd.read_parquet(files), "band_hash",
+                          bucket_pairs).write_parquet(pdir)
         return {}
 
-    run_resumable(
-        input_path, pairs_dir, run_band_pairs,
-        partitions=[(f"band{b:03d}", [b]) for b in range(bands)],
-        max_concurrent=max_concurrent,
-    )
+    _, pairs_dir = resumable_exchange(
+        input_path, out_dir, lambda _pid: explode, band_pairs,
+        col="band_id", num_buckets=bands, phases=("bands", "pairs"),
+        bucket_id="band{:03d}", columns=[id_col, text_col],
+        partitions=partitions, max_concurrent=max_concurrent, _fault=_fault)
 
     # --- phase 3: closure -> drop list ------------------------------------
     closure_dir = os.path.join(out_dir, "closure")
-    pair_files = part_files(pairs_dir)
+    pair_files = committed_files(pairs_dir)
 
     def run_closure(_files, pdir):
-        fault("closure", "closure")
+        drop = np.zeros(0, np.int64)
         if pair_files:
             pairs_ds = rd.read_parquet(pair_files)
             if distributed_cc:
                 comp = connected_components_distributed(pairs_ds).to_pandas()
             else:
                 comp = connected_components(pairs_ds.to_pandas())
-            drop = comp.loc[comp["doc_id"] != comp["component"], ["doc_id"]]
-        else:
-            import pandas as pd
-
-            drop = pd.DataFrame({"doc_id": pd.array([], dtype="int64")})
-        pq.write_table(
-            pa.table({"doc_id": pa.array(drop["doc_id"].astype("int64"))}),
-            os.path.join(pdir, "drop.parquet"),
-        )
+            drop = comp.loc[comp["doc_id"] != comp["component"],
+                            "doc_id"].to_numpy(np.int64)
+        pq.write_table(pa.table({"doc_id": pa.array(drop)}),
+                       os.path.join(pdir, "drop.parquet"))
         return {"dropped": int(len(drop))}
 
     run_resumable(input_path, closure_dir, run_closure,
-                  partitions=[("closure", [])])
+                  partitions=[("closure", [])], phase="closure",
+                  _fault=_fault)
 
     # --- phase 4: filtered output per input file --------------------------
     dedup_dir = os.path.join(out_dir, "deduped")
@@ -160,24 +131,14 @@ def near_dedup_resumable(
     )
     drop_ref = ray.put(drop_tbl["doc_id"].combine_chunks())
 
-    def run_dedup(files, pdir, *, part_id=None):
-        fault("dedup", part_id)
-        drop_set = ray.get(drop_ref)
+    def keep(t: pa.Table) -> pa.Table:
+        m = pc.invert(pc.is_in(t[id_col].cast(pa.int64()),
+                               value_set=ray.get(drop_ref)))
+        return t.filter(pc.fill_null(m, True))
 
-        def keep(t: pa.Table) -> pa.Table:
-            m = pc.invert(pc.is_in(t[id_col].cast(pa.int64()), value_set=drop_set))
-            return t.filter(pc.fill_null(m, True))
-
-        ds = rd.read_parquet(files).map_batches(
-            keep, batch_format="pyarrow", zero_copy_batch=True
-        ).materialize()
-        ds.write_parquet(pdir)
-        return {"rows": ds.count()}
-
-    metrics = run_resumable(input_path, dedup_dir, run_dedup,
-                            partitions=input_parts,
-                            max_concurrent=max_concurrent)
+    metrics = map_phase(input_path, dedup_dir, lambda _pid: keep,
+                        phase="dedup", partitions=partitions,
+                        max_concurrent=max_concurrent, _fault=_fault)
     metrics["dropped"] = int(len(drop_tbl))
     metrics["output_dir"] = dedup_dir
     return metrics
-

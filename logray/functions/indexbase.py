@@ -11,7 +11,7 @@ import glob
 import json
 import os
 
-from logray.state.manifest import publish, publish_text
+from logray.state.manifest import committed_files, publish, publish_text
 
 __all__ = ["write_meta", "read_meta", "shard_files",
            "shard_values", "total_index_rows", "detect_shard_key",
@@ -42,12 +42,12 @@ def shard_files(index_dir: str, key: str, value=None) -> list[str]:
     index when ``value`` is None — path-level pruning, never a row
     filter on the hash-random shard column.  Covers both the flat
     append layout (``<dir>/<key>=v/*.parquet``) and the resumable
-    manifest layout (``<dir>/parts/<pid>/<key>=v/*.parquet``)."""
-    pat = f"{key}={value}" if value is not None else f"{key}=*"
-    return sorted(
-        glob.glob(os.path.join(index_dir, pat, "*.parquet"))
-        + glob.glob(os.path.join(index_dir, "parts", "*", pat,
-                                 "*.parquet")))
+    manifest layout (``<dir>/parts/<pid>/<key>=v/*.parquet``, committed
+    partitions only)."""
+    value = "*" if value is None else value
+    return sorted(glob.glob(os.path.join(index_dir, f"{key}={value}",
+                                         "*.parquet"))
+                  + committed_files(index_dir, key, value))
 
 
 def total_index_rows(files: list[str]) -> int:
@@ -56,14 +56,16 @@ def total_index_rows(files: list[str]) -> int:
     return sum(pq.read_metadata(f).num_rows for f in files)
 
 
+def _hive_dirs(index_dir: str, pat: str) -> list[str]:
+    """``pat`` matches in either layout (flat, or under ``parts/<pid>/``)."""
+    return [d for root in (index_dir, os.path.join(index_dir, "parts", "*"))
+            for d in glob.glob(os.path.join(root, pat))]
+
+
 def shard_values(index_dir: str, key: str) -> list[str]:
     """Distinct hive-shard values present in either layout, sorted."""
-    vals = set()
-    for pat in (os.path.join(index_dir, f"{key}=*"),
-                os.path.join(index_dir, "parts", "*", f"{key}=*")):
-        for d in glob.glob(pat):
-            vals.add(os.path.basename(d).split("=", 1)[1])
-    return sorted(vals)
+    return sorted({os.path.basename(d).split("=", 1)[1]
+                   for d in _hive_dirs(index_dir, f"{key}=*")})
 
 
 def detect_shard_key(index_dir: str) -> str:
@@ -71,12 +73,8 @@ def detect_shard_key(index_dir: str) -> str:
     fingerprint/BM25/IVF family, ``__g`` for the band index) — inferred
     from the ``<key>=<value>`` directory names; ambiguous or absent
     keys RAISE."""
-    keys = set()
-    for pat in (os.path.join(index_dir, "*=*"),
-                os.path.join(index_dir, "parts", "*", "*=*")):
-        for d in glob.glob(pat):
-            if os.path.isdir(d):
-                keys.add(os.path.basename(d).split("=", 1)[0])
+    keys = {os.path.basename(d).split("=", 1)[0]
+            for d in _hive_dirs(index_dir, "*=*") if os.path.isdir(d)}
     if len(keys) != 1:
         raise ValueError(
             f"detect_shard_key: expected exactly one hive key under "

@@ -10,11 +10,13 @@ is already the partition axis:
 1. **cand** — per INPUT FILE: explode to lines; long lines (length >=
    ``min_len``) get the batch-local keep-first combine; batch winners
    carry their exact text tagged ``hash(line) % B``, batch losers ship
-   as text-free ``(doc_id, line_idx)`` tombstones.  Written as Parquet.
-2. **losers** — per BUCKET: the bucket's batch winners (``__b == b``
-   predicate pushdown) are resolved by EXACT line text — min
-   ``(doc_id, line_idx)`` wins, every other occurrence emits a
-   tombstone.  Correctness never rests on a hash.
+   as text-free ``(doc_id, line_idx)`` tombstones.  Written as Parquet,
+   hive-partitioned on ``__b``.
+2. **losers** — per BUCKET: the bucket's batch winners (only the
+   ``__b=<b>/`` hive dirs are read) are resolved by EXACT line text —
+   min ``(doc_id, line_idx)`` wins, every other occurrence emits a
+   tombstone.  Correctness never rests on a hash.  Phases 1+2 are one
+   :func:`~logray.state.manifest.resumable_exchange`.
 3. **rebuild** — per INPUT FILE: the file's own tombstones (phases 1+2,
    ``__part == pid`` pushdown — bounded by the file's DUPLICATED
    volume) are broadcast; each batch explodes its documents, drops
@@ -32,6 +34,7 @@ with null text, are absent on both sides.
 from __future__ import annotations
 
 import os
+from functools import partial
 
 import numpy as np
 import pandas as pd
@@ -41,9 +44,8 @@ import pyarrow.parquet as pq
 
 from logray.functions.linededup import _explode_lines_fn, _rejoin_fn
 from logray.stages.bucketing import bucket_of, run_starts
-from logray.state.manifest import (check_run_config, default_partitions,
-                                   part_files, part_files_hive,
-                                   run_resumable)
+from logray.state.manifest import (check_run_config, committed_files,
+                                   resumable_exchange, run_resumable)
 
 __all__ = ["dedup_lines_resumable"]
 
@@ -57,35 +59,23 @@ def _cand_fn(id_col: str, text_col: str, min_len: int, sep: str,
 
     def part(t: pa.Table) -> pa.Table:
         lines = explode(t)
-        long = pc.greater_equal(pc.utf8_length(lines["line"]), min_len)
-        cand = lines.filter(long)
-        n = cand.num_rows
-        if n:
-            cand = cand.sort_by([("line", "ascending"), (id_col, "ascending"),
-                                 ("line_idx", "ascending")])
-            win = run_starts(cand["line"].to_numpy(zero_copy_only=False))
-        else:
-            win = np.zeros(0, np.bool_)
-        winners = cand.filter(pa.array(win))
-        losers = cand.filter(pa.array(~win))
-        wb = bucket_of(winners["line"].to_numpy(zero_copy_only=False),
-                       num_buckets)
+        cand = lines.filter(
+            pc.greater_equal(pc.utf8_length(lines["line"]), min_len)
+        ).sort_by([("line", "ascending"), (id_col, "ascending"),
+                   ("line_idx", "ascending")])
+        line = cand["line"].to_numpy(zero_copy_only=False)
+        win = run_starts(line)
+        b = np.zeros(len(win), np.int64)
+        b[win] = bucket_of(line[win], num_buckets)
         return pa.table({
-            "__part": pa.array([part_id] * (winners.num_rows + losers.num_rows)),
-            id_col: pa.concat_arrays([
-                winners[id_col].combine_chunks(),
-                losers[id_col].combine_chunks()]),
-            "line_idx": pa.concat_arrays([
-                winners["line_idx"].combine_chunks(),
-                losers["line_idx"].combine_chunks()]),
-            "line": pa.concat_arrays([
-                winners["line"].combine_chunks(),
-                pa.nulls(losers.num_rows, pa.string())]),
-            "__b": pa.array(np.concatenate(
-                [wb, np.zeros(losers.num_rows, np.int64)])),
-            "__loser": pa.array(np.concatenate(
-                [np.zeros(winners.num_rows, np.bool_),
-                 np.ones(losers.num_rows, np.bool_)])),
+            "__part": pa.array([part_id] * len(win)),
+            id_col: cand[id_col],
+            "line_idx": cand["line_idx"],
+            # losers ship text-free, in bucket 0
+            "line": pc.if_else(pa.array(win), cand["line"],
+                               pa.scalar(None, pa.string())),
+            "__b": pa.array(b),
+            "__loser": pa.array(~win),
         })
 
     return part
@@ -114,46 +104,17 @@ def dedup_lines_resumable(
     import ray
     import ray.data as rd
 
-    def fault(phase, part_id):
-        if _fault is not None:
-            _fault(phase, part_id)
-
     check_run_config(out_dir, {
         "op": "dedup_lines", "id_col": id_col, "text_col": text_col,
         "min_len": min_len, "sep": sep, "num_buckets": num_buckets,
         "layout": "hive_bucket_v2",
     })
-    input_parts = partitions if partitions is not None \
-        else default_partitions(input_path)
 
-    # --- phase 1: winners + local tombstones per input file -----------------
-    cand_dir = os.path.join(out_dir, "cand")
-
-    def run_cand(files, pdir, *, part_id=None):
-        fault("cand", part_id)
-        fn = _cand_fn(id_col, text_col, min_len, sep, num_buckets, part_id)
-        (rd.read_parquet(files, columns=[id_col, text_col])
-           .map_batches(fn, batch_format="pyarrow", zero_copy_batch=True,
-                        batch_size=None)
-           # hive-partition by bucket: phase 2 prunes at the PATH level
-           .write_parquet(pdir, partition_cols=["__b"]))
-        return {}
-
-    run_resumable(input_path, cand_dir, run_cand, partitions=input_parts,
-                  max_concurrent=max_concurrent)
-
-    # --- phase 2: global tombstones per bucket -------------------------------
-    losers_dir = os.path.join(out_dir, "losers")
-
-    def run_losers(bucket_ids, pdir):
-        b = bucket_ids[0]
-        fault("losers", f"b{b:03d}")
-        files_b = part_files_hive(cand_dir, "__b", b)
-        if files_b:
-            df = rd.read_parquet(
-                files_b, filter=~pc.field("__loser")).to_pandas()
-        else:
-            df = pd.DataFrame()
+    # --- phases 1+2: winners + local tombstones per input file, global
+    # tombstones per bucket ---------------------------------------------------
+    def losers(files, pdir):
+        df = (rd.read_parquet(files, filter=~pc.field("__loser")).to_pandas()
+              if files else pd.DataFrame())
         lose = pd.DataFrame()
         if len(df):
             df = df.sort_values(["line", id_col, "line_idx"],
@@ -168,37 +129,29 @@ def dedup_lines_resumable(
             )
         return {"tombstones": int(len(lose))}
 
-    run_resumable(
-        input_path, losers_dir, run_losers,
-        partitions=[(f"b{b:03d}", [b]) for b in range(num_buckets)],
-        max_concurrent=max_concurrent,
-    )
+    cand_dir, losers_dir = resumable_exchange(
+        input_path, out_dir,
+        partial(_cand_fn, id_col, text_col, min_len, sep, num_buckets),
+        losers, col="__b", num_buckets=num_buckets, phases=("cand", "losers"),
+        columns=[id_col, text_col], partitions=partitions,
+        max_concurrent=max_concurrent, _fault=_fault)
 
     # --- phase 3: local rebuild per input file -------------------------------
     out_phase_dir = os.path.join(out_dir, "deduped")
-    loser_files = part_files(losers_dir)
+    loser_files = committed_files(losers_dir)
     # the __part row filter prunes fine here: each cand file holds ONE
     # __part value (constant min==max row-group stats), unlike the
     # hash-random __b that phase 2 prunes by path instead
-    cand_files = part_files(cand_dir)
+    cand_files = committed_files(cand_dir)
     rejoin = _rejoin_fn(id_col, text_col, sep)
     explode = _explode_lines_fn(id_col, text_col, sep)
 
     def run_rebuild(files, pdir, *, part_id=None):
-        fault("rebuild", part_id)
-        tomb = []
-        if cand_files:
-            tomb.append(rd.read_parquet(
-                cand_files,
-                columns=[id_col, "line_idx"],
-                filter=(pc.field("__part") == part_id) & pc.field("__loser"),
-            ).to_pandas())
-        if loser_files:
-            tomb.append(rd.read_parquet(
-                loser_files,
-                columns=[id_col, "line_idx"],
-                filter=pc.field("__part") == part_id,
-            ).to_pandas())
+        mine = pc.field("__part") == part_id
+        tomb = [rd.read_parquet(fs, columns=[id_col, "line_idx"],
+                                filter=flt).to_pandas()
+                for fs, flt in ((cand_files, mine & pc.field("__loser")),
+                                (loser_files, mine)) if fs]
         # an empty filtered read comes back column-less: keep only
         # non-empty frames, fall back to a typed empty tombstone set
         tomb = [f for f in tomb if len(f)]
@@ -224,7 +177,8 @@ def dedup_lines_resumable(
         return {"rows": out.count(), "tombstones_applied": int(len(tdf))}
 
     metrics = run_resumable(input_path, out_phase_dir, run_rebuild,
-                            partitions=input_parts,
-                            max_concurrent=max_concurrent)
+                            partitions=partitions,
+                            max_concurrent=max_concurrent, phase="rebuild",
+                            _fault=_fault)
     metrics["output_dir"] = out_phase_dir
     return metrics

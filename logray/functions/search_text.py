@@ -344,24 +344,14 @@ def build_text_index_resumable(input_path: str, out_dir: str,
     in ``run_config.json``; differing parameters refuse.
 
     ``_fault(phase, part_id)`` is a test-only crash-injection hook."""
-    import ray.data as rd
-
-    from logray.state.manifest import check_run_config, run_resumable
+    from logray.state.manifest import check_run_config, map_phase
 
     params = _bm25_index_params(num_shards, col, id_col)
     check_run_config(out_dir, {"op": "bm25_index_build", **params})
     part = _postings_fn(col, id_col, num_shards)
-
-    def run_part(files, pdir, *, part_id=None):
-        if _fault is not None:
-            _fault("postings", part_id)
-        ds = rd.read_parquet(files, columns=[col, id_col])
-        (ds.map_batches(part, batch_format="pyarrow",
-                        zero_copy_batch=True, batch_size=None)
-           .write_parquet(pdir, partition_cols=["__s"]))
-        return {}
-
-    metrics = run_resumable(input_path, out_dir, run_part)
+    metrics = map_phase(input_path, out_dir, lambda _pid: part,
+                        phase="postings", col="__s", columns=[col, id_col],
+                        _fault=_fault)
     _fold_bm25_stats(out_dir, params, num_shards)
     return metrics
 

@@ -43,7 +43,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from logray.functions.sample import _M31, _det_hash
-from logray.state.manifest import RunManifest, check_run_config, publish_text, run_resumable
+from logray.state.manifest import (RunManifest, check_run_config,
+                                   committed_files, map_phase, publish_text,
+                                   run_resumable)
 
 # conservative fixed per-row cost of the non-payload scalar columns
 ROW_OVERHEAD_BYTES = 16
@@ -65,6 +67,13 @@ def payload_bytes(ds, byte_cols: list[str],
     got = ds.map_batches(part, batch_format="pyarrow",
                          zero_copy_batch=True).sum("b")
     return int(got or 0)
+
+
+def _byte_cols(schema) -> list[str]:
+    """The string/binary columns of a Dataset schema."""
+    return [n for n, t in zip(schema.names, schema.types)
+            if pa.types.is_string(t) or pa.types.is_large_string(t)
+            or pa.types.is_binary(t) or pa.types.is_large_binary(t)]
 
 
 def _shard_tagger(id_col: str, seed: int, n_shards: int):
@@ -104,13 +113,8 @@ def rebalance_shards(ds, out_dir: str, target_bytes: int,
         raise FileExistsError(
             f"{out_dir} is not empty: rerunning into a half-written shard "
             "tree would duplicate rows; delete it and rerun")
-    schema = ds.schema()
     if byte_cols is None:
-        byte_cols = [
-            n for n, t in zip(schema.names, schema.types)
-            if pa.types.is_string(t) or pa.types.is_large_string(t)
-            or pa.types.is_binary(t) or pa.types.is_large_binary(t)
-        ]
+        byte_cols = _byte_cols(ds.schema())
     total = payload_bytes(ds, byte_cols)
     n_shards = max(min_shards, math.ceil(total / target_bytes))
 
@@ -120,48 +124,24 @@ def rebalance_shards(ds, out_dir: str, target_bytes: int,
     return n_shards
 
 
-def _committed_shard_files(out_dir: str, shard: int | None) -> list[str]:
-    """Parquet files under COMMITTED partitions only (manifest present):
-    the ``*`` glob would also match leftover ``.inprogress`` dirs from a
-    crashed attempt — reading those returns partial/duplicate rows."""
-    import glob as _glob
-
-    mf = RunManifest(os.path.join(out_dir, "shards"))
-    pattern = f"shard={shard}" if shard is not None else "shard=*"
-    files: list[str] = []
-    for part_id in mf.entries():
-        files.extend(_glob.glob(
-            os.path.join(mf.partition_dir(part_id), pattern, "*.parquet")))
-    return sorted(files)
-
-
 def read_rebalanced(out_dir: str, shard: int | None = None):
     """Read a :func:`rebalance_shards_resumable` output tree — whole tree
     by default, ONE shard with ``shard=`` (path-level pruning: only that
     shard's files are listed).  Only manifest-COMMITTED partitions are
     read (a crashed run's ``.inprogress`` leftovers are excluded), and
-    the ``shard`` column is restored from the file path — one dataset,
-    one pass, no per-shard plan blowup."""
+    the ``shard`` column comes back as int64 from the ``shard=K/`` path
+    segment — one dataset, one pass, no per-shard plan blowup."""
     import ray.data as rd
+    from ray.data.datasource import Partitioning
 
-    files = _committed_shard_files(out_dir, shard)
+    shards_dir = os.path.join(out_dir, "shards")
+    files = committed_files(shards_dir, "shard",
+                            "*" if shard is None else shard)
     if not files:
         raise FileNotFoundError(
-            f"no committed files for shard={shard} under {out_dir}/shards")
-    # shard from the path, vectorized; O(1) datasets however many shards
-    shard_of = {f: int(f.rsplit("shard=", 1)[1].split(os.sep, 1)[0])
-                for f in files}
-    shard_arr = pa.array([shard_of[f] for f in files], pa.int64())
-    path_arr = pa.array(list(shard_of), pa.string())
-
-    def restore(t: pa.Table) -> pa.Table:
-        idx = pc.index_in(t["path"], value_set=path_arr)
-        out = t.drop_columns(
-            ["path"] + (["shard"] if "shard" in t.column_names else []))
-        return out.append_column("shard", pc.take(shard_arr, idx))
-
-    return rd.read_parquet(files, include_paths=True).map_batches(
-        restore, batch_format="pyarrow", zero_copy_batch=True)
+            f"no committed files for shard={shard} under {shards_dir}")
+    return rd.read_parquet(files, partitioning=Partitioning(
+        "hive", base_dir=shards_dir, field_types={"shard": int}))
 
 
 def rebalance_shards_resumable(input_path: str, out_dir: str,
@@ -202,14 +182,8 @@ def rebalance_shards_resumable(input_path: str, out_dir: str,
     if byte_cols is None:
         # with an explicit partitions list the input may be a chained
         # phase dir with no flat *.parquet — probe the first partition
-        probe = rd.read_parquet(partitions[0][1] if partitions
-                                else input_path)
-        schema = probe.schema()
-        byte_cols = [
-            n for n, t in zip(schema.names, schema.types)
-            if pa.types.is_string(t) or pa.types.is_large_string(t)
-            or pa.types.is_binary(t) or pa.types.is_large_binary(t)
-        ]
+        byte_cols = _byte_cols(rd.read_parquet(
+            partitions[0][1] if partitions else input_path).schema())
     check_run_config(out_dir, {
         "op": "rebalance_shards", "target_bytes": int(target_bytes),
         "id_col": id_col, "byte_cols": sorted(byte_cols),
@@ -217,21 +191,16 @@ def rebalance_shards_resumable(input_path: str, out_dir: str,
         "row_overhead": int(row_overhead),
     })
 
-    def fault(phase, part_id):
-        if _fault is not None:
-            _fault(phase, part_id)
-
     # --- phase 1: exact byte census per input file -----------------------
     census_dir = os.path.join(out_dir, "census")
 
-    def run_census(files, tmp, part_id=None):
-        fault("census", part_id)
+    def run_census(files, tmp):
         b = payload_bytes(rd.read_parquet(files), byte_cols,
                           row_overhead=row_overhead)
         return {"bytes": int(b)}
 
     run_resumable(input_path, census_dir, run_census, partitions=partitions,
-                  max_concurrent=max_concurrent)
+                  max_concurrent=max_concurrent, phase="census", _fault=_fault)
     total = sum(int(e.get("bytes", 0))
                 for e in RunManifest(census_dir).entries().values())
     # the shard count is part of the PLAN: once any phase-2 partition may
@@ -247,16 +216,10 @@ def rebalance_shards_resumable(input_path: str, out_dir: str,
         publish_text(plan_path, json.dumps({"n_shards": n_shards, "census_bytes": total}))
 
     # --- phase 2: tag + hive write per input file -------------------------
-    def run_write(files, tmp, part_id=None):
-        fault("shards", part_id)
-        rd.read_parquet(files).map_batches(
-            _shard_tagger(id_col, seed, n_shards),
-            batch_format="pyarrow", zero_copy_batch=True,
-        ).write_parquet(tmp, partition_cols=["shard"])
-        return {}
-
     shards_dir = os.path.join(out_dir, "shards")
-    m = run_resumable(input_path, shards_dir, run_write,
-                      partitions=partitions, max_concurrent=max_concurrent)
+    m = map_phase(input_path, shards_dir,
+                  lambda _pid: _shard_tagger(id_col, seed, n_shards),
+                  phase="shards", col="shard", partitions=partitions,
+                  max_concurrent=max_concurrent, _fault=_fault)
     return {"n_shards": int(n_shards), "total_bytes": int(total),
             "partitions": m.get("partitions", 0), "output_dir": shards_dir}

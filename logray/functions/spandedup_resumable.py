@@ -8,11 +8,11 @@ and a crash costs only the in-flight partition.  Three phases:
 1. **census** — per INPUT FILE: per-batch gram-census partials
    ``(h1, cnt, h2min, h2max)`` tagged with ``hash(h1) % B``, written as
    Parquet.  Embarrassingly parallel; the bulk of the CPU time.
-2. **dups** — per BUCKET: census partials for one bucket (read with a
-   ``__b == b`` row-group predicate pushdown) folded; grams with total
-   count > 1 survive (with the h2 collision guard).  Buckets are
-   independent, so each is a resumable partition of the only wide
-   exchange.
+2. **dups** — per BUCKET: census partials for one bucket (only the
+   ``__b=<b>/`` hive dirs are read) folded; grams with total count > 1
+   survive (with the h2 collision guard).  Buckets are independent, so
+   each is a resumable partition of the only wide exchange.  Phases 1+2
+   are one :func:`~logray.state.manifest.resumable_exchange`.
 3. **cut** — per INPUT FILE: the duplicated-gram set (bounded by the
    DUPLICATED gram count, not the corpus) is broadcast once
    (``ray.put``); mark & cut each file, write the deduplicated output.
@@ -40,9 +40,8 @@ from logray.functions.spandedup import (
     _dup_bucket,
 )
 from logray.stages.bucketing import bucket_tagger
-from logray.state.manifest import (check_run_config, default_partitions,
-                                   part_files, part_files_hive,
-                                   run_resumable)
+from logray.state.manifest import (check_run_config, committed_files,
+                                   map_phase, resumable_exchange)
 
 __all__ = ["dedup_spans_resumable"]
 
@@ -75,66 +74,33 @@ def dedup_spans_resumable(
     if level not in ("word", "byte"):
         raise ValueError(f"level must be 'word' or 'byte', got {level!r}")
 
-    def fault(phase, part_id):
-        if _fault is not None:
-            _fault(phase, part_id)
-
     check_run_config(out_dir, {
         "op": "dedup_spans", "id_col": id_col, "text_col": text_col,
         "window": window, "level": level, "num_buckets": num_buckets,
         "layout": "hive_bucket_v2",
     })
-    input_parts = default_partitions(input_path)
     census_fn = (_census_fn if level == "word" else _census_bytes_fn)(
         id_col, text_col, window)
     tag = bucket_tagger("h1", num_buckets)
 
-    # --- phase 1: census partials per input file ---------------------------
-    census_dir = os.path.join(out_dir, "census")
+    # --- phases 1+2: census partials per input file, duplicated grams per
+    # bucket -----------------------------------------------------------------
+    def dups(files, pdir):
+        df = rd.read_parquet(files).to_pandas() if files else pd.DataFrame()
+        h1 = _dup_bucket(df)["h1"].to_numpy() if len(df) else np.zeros(0)
+        pq.write_table(pa.table({"h1": pa.array(h1.astype(np.int64))}),
+                       os.path.join(pdir, "dups.parquet"))
+        return {"dups": int(len(h1))}
 
-    def run_census(files, pdir, *, part_id=None):
-        fault("census", part_id)
-        ds = rd.read_parquet(files, columns=[id_col, text_col])
-        (ds.map_batches(census_fn, batch_format="pyarrow",
-                        zero_copy_batch=True, batch_size=None)
-           .map_batches(tag, batch_format="pyarrow", zero_copy_batch=True,
-                        batch_size=None)
-           # hive-partition by bucket so phase 2 prunes at the PATH level
-           # (a row filter on the hash-random __b cannot prune row groups
-           # and would rescan the full census once per bucket)
-           .write_parquet(pdir, partition_cols=["__b"]))
-        return {}
-
-    run_resumable(input_path, census_dir, run_census, partitions=input_parts)
-
-    # --- phase 2: duplicated grams per bucket -------------------------------
-    dups_dir = os.path.join(out_dir, "dups")
-
-    def run_dups(bucket_ids, pdir):
-        b = bucket_ids[0]
-        fault("dups", f"b{b:03d}")
-        files_b = part_files_hive(census_dir, "__b", b)
-        if files_b:
-            df = rd.read_parquet(files_b).to_pandas()
-        else:
-            df = pd.DataFrame()
-        dup = _dup_bucket(df) if len(df) else \
-            pd.DataFrame({"h1": np.zeros(0, np.int64)})
-        pq.write_table(
-            pa.table({"h1": pa.array(dup["h1"].to_numpy().astype(np.int64))}),
-            os.path.join(pdir, "dups.parquet"),
-        )
-        return {"dups": int(len(dup))}
-
-    run_resumable(
-        input_path, dups_dir, run_dups,
-        partitions=[(f"b{b:03d}", [b]) for b in range(num_buckets)],
-    )
+    _, dups_dir = resumable_exchange(
+        input_path, out_dir, lambda _pid: lambda t: tag(census_fn(t)), dups,
+        col="__b", num_buckets=num_buckets, phases=("census", "dups"),
+        columns=[id_col, text_col], _fault=_fault)
 
     # --- phase 3: mark & cut per input file ---------------------------------
     cut_dir = os.path.join(out_dir, "cut")
     dup_tables = [pq.read_table(f, columns=["h1"])
-                  for f in part_files(dups_dir)]
+                  for f in committed_files(dups_dir)]
     dup = (pa.concat_tables(dup_tables)["h1"].to_numpy().astype(np.int64)
            if dup_tables else np.zeros(0, np.int64))
     if len(dup) > max_broadcast:
@@ -146,16 +112,8 @@ def dedup_spans_resumable(
     cut = (_cut_words_fn if level == "word" else _cut_bytes_fn)(
         id_col, text_col, window, dup_ref)
 
-    def run_cut(files, pdir, *, part_id=None):
-        fault("cut", part_id)
-        out = rd.read_parquet(files, columns=[id_col, text_col]).map_batches(
-            cut, batch_format="pyarrow", zero_copy_batch=True,
-            batch_size=None).materialize()
-        out.write_parquet(pdir)
-        return {"rows": out.count()}
-
-    metrics = run_resumable(input_path, cut_dir, run_cut,
-                            partitions=input_parts)
+    metrics = map_phase(input_path, cut_dir, lambda _pid: cut, phase="cut",
+                        columns=[id_col, text_col], _fault=_fault)
     metrics["dup_grams"] = int(len(dup))
     metrics["output_dir"] = cut_dir
     return metrics

@@ -59,8 +59,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from logray.state.manifest import (RunManifest, check_run_config,
-                                   partitions_from_parts, run_resumable)
+from logray.state.manifest import (check_run_config, partitions_from_parts,
+                                   run_resumable)
 
 _MASK63 = np.uint64(0x7FFFFFFFFFFFFFFF)
 
@@ -94,9 +94,9 @@ def read_crawl_output(out_root: str):
     committed so far; a finished run returns the full set)."""
     import ray.data as rd
 
-    from logray.state.manifest import part_files
+    from logray.state.manifest import committed_files
 
-    return rd.read_parquet(part_files(os.path.join(out_root, "07_pack")))
+    return rd.read_parquet(committed_files(os.path.join(out_root, "07_pack")))
 
 
 def run_crawl_pipeline(
@@ -162,18 +162,12 @@ def run_crawl_pipeline(
         "target_shard_bytes": int(target_shard_bytes), "seed": seed,
     })
 
-    def fault(phase, part_id):
-        if _fault is not None:
-            _fault(phase, part_id)
-
     metrics: dict = {}
 
     # --- phase 1: extract + gate + redact, per WARC file -----------------
     d1 = os.path.join(out_root, "01_extract")
 
-    def run_extract(files, pdir, *, part_id=None):
-        fault("extract", part_id)
-
+    def run_extract(files, pdir):
         def prep(t: pa.Table) -> pa.Table:
             t = t.filter(pc.equal(t["warc_type"], "response"))
             payload = pc.fill_null(t["payload"], b"")
@@ -214,7 +208,7 @@ def run_crawl_pipeline(
 
     metrics["extract"] = run_resumable(
         warc_dir, d1, run_extract, partitions=warc_partitions(warc_dir),
-        max_concurrent=max_concurrent)
+        max_concurrent=max_concurrent, phase="extract", _fault=_fault)
 
     # --- phase 2: exact line dedup (C4) ----------------------------------
     d2 = os.path.join(out_root, "02_linededup")
@@ -238,8 +232,7 @@ def run_crawl_pipeline(
         d4 = os.path.join(out_root, "04_decontam")
         idx_dir = os.path.join(d4, "index")
 
-        def run_index(_files, pdir, *, part_id=None):
-            fault("decontam_index", part_id)
+        def run_index(_files, pdir):
             idx = build_contamination_index(
                 rd.read_parquet(eval_path), col="text", n=decontam_n)
             import pyarrow.parquet as pq
@@ -249,7 +242,8 @@ def run_crawl_pipeline(
             return {"grams": int(len(idx))}
 
         run_resumable(eval_path, idx_dir, run_index,
-                      partitions=[("index", [])])
+                      partitions=[("index", [])], phase="decontam_index",
+                      _fault=_fault)
         import pyarrow.parquet as pq
 
         idx = pq.read_table(os.path.join(
@@ -258,8 +252,7 @@ def run_crawl_pipeline(
         idx_ref = ray.put(idx)
         filt_dir = os.path.join(d4, "filtered")
 
-        def run_decontam(files, pdir, *, part_id=None):
-            fault("decontam", part_id)
+        def run_decontam(files, pdir):
             ds = drop_contaminated(
                 rd.read_parquet(files), idx_ref, col="text",
                 n=decontam_n).materialize()
@@ -269,7 +262,7 @@ def run_crawl_pipeline(
         metrics["decontam"] = run_resumable(
             d3_out, filt_dir, run_decontam,
             partitions=partitions_from_parts(d3_out),
-            max_concurrent=max_concurrent)
+            max_concurrent=max_concurrent, phase="decontam", _fault=_fault)
         d4_out = filt_dir
     else:
         d4_out = d3_out
@@ -278,8 +271,7 @@ def run_crawl_pipeline(
     d5 = os.path.join(out_root, "05_tokenize")
     bpe_dir = os.path.join(d5, "bpe")
 
-    def run_bpe(_files, pdir, *, part_id=None):
-        fault("bpe", part_id)
+    def run_bpe(_files, pdir):
         if bpe_path is not None:
             bpe = load_bpe(bpe_path)
         else:
@@ -294,13 +286,13 @@ def run_crawl_pipeline(
         save_bpe(bpe, os.path.join(pdir, "bpe.json"))
         return {"vocab_size": vocab_size}
 
-    run_resumable(d4_out, bpe_dir, run_bpe, partitions=[("bpe", [])])
+    run_resumable(d4_out, bpe_dir, run_bpe, partitions=[("bpe", [])],
+                  phase="bpe", _fault=_fault)
     bpe = load_bpe(os.path.join(bpe_dir, "parts", "bpe", "bpe.json"))
     bpe_ref = ray.put(bpe.to_json())
     tok_dir = os.path.join(d5, "tokens")
 
-    def run_tokenize(files, pdir, *, part_id=None):
-        fault("tokenize", part_id)
+    def run_tokenize(files, pdir):
         ds = tokenize_bpe(rd.read_parquet(files), bpe_ref,
                           text_col="text").materialize()
         ds.write_parquet(pdir)
@@ -310,7 +302,7 @@ def run_crawl_pipeline(
     metrics["tokenize"] = run_resumable(
         d4_out, tok_dir, run_tokenize,
         partitions=partitions_from_parts(d4_out),
-        max_concurrent=max_concurrent)
+        max_concurrent=max_concurrent, phase="tokenize", _fault=_fault)
 
     # --- phase 6: byte-balanced hash shards --------------------------------
     d6 = os.path.join(out_root, "06_shards")
@@ -324,9 +316,8 @@ def run_crawl_pipeline(
     # --- phase 7: per-shard concat-and-cut packing -------------------------
     d7 = os.path.join(out_root, "07_pack")
 
-    def run_pack(shard_ids, pdir, *, part_id=None):
+    def run_pack(shard_ids, pdir):
         s = int(shard_ids[0])
-        fault("pack", part_id)
         try:
             ds = read_rebalanced(d6, shard=s)
         except FileNotFoundError:
@@ -362,6 +353,6 @@ def run_crawl_pipeline(
     metrics["pack"] = run_resumable(
         d6, d7, run_pack,
         partitions=[(f"shard{k:05d}", [k]) for k in range(n_shards)],
-        max_concurrent=max_concurrent)
+        max_concurrent=max_concurrent, phase="pack", _fault=_fault)
     metrics["output_dir"] = d7
     return metrics

@@ -139,18 +139,27 @@ def _transition_counts_sorted(ds, key_col: str, order_cols: list[str],
 
     from logray.functions.packing import _to_table
 
+    from logray.stages.bucketing import arrow_type_of
+
     null_col = "__key_is_null"
+    schema = ds.schema()
+    # an all-null block infers a null-typed key, which no fill value
+    # casts to: such blocks take the dataset's key type (pandas-block
+    # schemas say `object` for strings)
+    key_type = arrow_type_of(schema.types[schema.names.index(key_col)])
+    if key_type is None or pa.types.is_null(key_type):
+        key_type = pa.string()
 
     def sortable(t: pa.Table) -> pa.Table:
         # Ray's range sort compares key values in Python, which fails on a
         # null next to a string: sort on (key is null, key with its nulls
         # filled by any one value), and restore the nulls before counting
         k = t[key_col]
+        if pa.types.is_null(k.type):
+            k = k.cast(key_type)
         t = t.append_column(null_col, pc.is_null(k))
-        if k.null_count:
-            t = t.set_column(t.schema.get_field_index(key_col), key_col,
-                             pc.fill_null(k, pa.scalar(0).cast(k.type)))
-        return t
+        return t.set_column(t.schema.get_field_index(key_col), key_col,
+                            pc.fill_null(k, pa.scalar(0).cast(k.type)))
 
     narrow = ds.select_columns([key_col] + order_cols + [val_col]).map_batches(
         sortable, batch_format="pyarrow", zero_copy_batch=True)

@@ -13,7 +13,10 @@ a distributed batch run instead needs a **resumable output layout**:
   mid-run costs only the in-flight partitions.
 
 ``run_resumable`` drives any per-partition pipeline function with this
-protocol; the flagship pipeline plugs in via ``logray.pipelines``.
+protocol; the flagship pipeline plugs in via ``logray.pipelines``.  Its
+checkpointed shuffles (line, span and near dedup) run on one on-disk
+exchange, :func:`resumable_exchange`; every reader of a phase's output
+goes through :func:`committed_files`.
 
 :func:`publish` is how logray commits every file, and :func:`batch_id`
 names what a Ray Data task writes, so a retried task rewrites its names.
@@ -163,6 +166,18 @@ def check_run_config(out_dir: str, config: dict) -> None:
     publish_text(path, json.dumps(cfg, indent=2, sort_keys=True))
 
 
+def _part_id(name: str, tail: int = 0) -> str:
+    """``p-<name, sanitized, last ``tail`` chars (all for 0)>-<sha1>``.
+    The short hash is of the RAW name: sanitizing alone collides
+    ('a b.parquet' and 'a_b.parquet' would share an id, and the second
+    would be silently skipped as already-done)."""
+    import hashlib
+    import re
+
+    safe = re.sub(r"[^A-Za-z0-9_.-]", "_", name)[-tail:]
+    return f"p-{safe}-{hashlib.sha1(name.encode()).hexdigest()[:8]}"
+
+
 def default_partitions(input_path: str) -> list[tuple[str, list[str]]]:
     """One partition per input parquet file.  Partition ids derive from
     the FILE NAME, not the sort position: positional ids (p00000, ...)
@@ -170,23 +185,9 @@ def default_partitions(input_path: str) -> list[tuple[str, list[str]]]:
     ones, silently skipping the new file and double-counting an old one.
     Name-stable ids make re-running on a GROWN directory process exactly
     the new files — incremental ingestion for free."""
-    import hashlib
-    import re
-
-    if os.path.isfile(input_path):
-        files = [input_path]
-    else:
-        files = sorted(glob.glob(os.path.join(input_path, "*.parquet")))
-    out = []
-    for f in files:
-        base = os.path.basename(f)
-        # short hash of the RAW name: sanitizing alone collides
-        # ('a b.parquet' and 'a_b.parquet' would share an id, and the
-        # second would be silently skipped as already-done)
-        tag = hashlib.sha1(base.encode()).hexdigest()[:8]
-        safe = re.sub(r"[^A-Za-z0-9_.-]", "_", base)
-        out.append((f"p-{safe}-{tag}", [f]))
-    return out
+    files = ([input_path] if os.path.isfile(input_path) else
+             sorted(glob.glob(os.path.join(input_path, "*.parquet"))))
+    return [(_part_id(os.path.basename(f)), [f]) for f in files]
 
 
 def partitions_from_parts(phase_dir: str) -> list[tuple[str, list[str]]]:
@@ -199,40 +200,34 @@ def partitions_from_parts(phase_dir: str) -> list[tuple[str, list[str]]]:
     derive from the upstream partition id (already filesystem-safe and
     name-stable); file lists within a published partition are sorted and
     immutable, so the mapping is a pure function across resumes."""
-    import hashlib
-    import re
-
     root = os.path.join(phase_dir, "parts")
     by_pid: dict[str, list[str]] = {}
-    for f in part_files(phase_dir):
-        pid = os.path.relpath(f, root).split(os.sep)[0]
-        by_pid.setdefault(pid, []).append(f)
-    out = []
-    for pid in sorted(by_pid):
-        tag = hashlib.sha1(pid.encode()).hexdigest()[:8]
-        safe = re.sub(r"[^A-Za-z0-9_.-]", "_", pid)
-        out.append((f"p-{safe[-48:]}-{tag}", sorted(by_pid[pid])))
-    return out
+    for f in committed_files(phase_dir):
+        by_pid.setdefault(os.path.relpath(f, root).split(os.sep)[0], []).append(f)
+    return [(_part_id(pid, tail=48), sorted(by_pid[pid]))
+            for pid in sorted(by_pid)]
 
 
-def part_files(phase_dir: str) -> list[str]:
-    """All parquet files a finished (or partially finished) resumable
-    phase has published under ``<phase_dir>/parts/*/`` (one extra level
-    for hive-partitioned phases)."""
-    flat = glob.glob(os.path.join(phase_dir, "parts", "*", "*.parquet"))
-    hive = glob.glob(os.path.join(phase_dir, "parts", "*", "*", "*.parquet"))
-    return sorted(flat + hive)
-
-
-def part_files_hive(phase_dir: str, col: str, value) -> list[str]:
-    """Parquet files of a hive-partitioned resumable phase (written with
-    ``write_parquet(partition_cols=[col])``) holding ONE partition value.
-    This is PATH-level bucket pruning: a per-bucket phase that instead
-    row-filters ``col == value`` over all phase files rescans the whole
-    phase output once per bucket (hash-random tags defeat row-group
-    min/max statistics — a B-fold read amplification at scale)."""
-    return sorted(glob.glob(os.path.join(
-        phase_dir, "parts", "*", f"{col}={value}", "*.parquet")))
+def committed_files(phase_dir: str, col: str | None = None,
+                    value="*") -> list[str]:
+    """Parquet files of the COMMITTED partitions (``manifest.json``
+    present) of a resumable phase: flat ``<phase_dir>/parts/<pid>/*``
+    plus one hive level, or with ``col`` only the ``<col>=<value>/``
+    dirs (``value`` may be a glob).  A crashed attempt's leftovers
+    (``<pid>.inprogress``, or a dir whose manifest never landed) are
+    never listed — reading them returns partial or duplicate rows.
+    Selecting one value is PATH-level pruning: a row filter on a
+    hash-random tag cannot prune row groups (every file spans every
+    value), so a per-bucket reader would rescan the whole phase once
+    per bucket."""
+    root = os.path.join(phase_dir, "parts")
+    done = {os.path.basename(os.path.dirname(m)) for m in
+            glob.glob(os.path.join(root, "*", "manifest.json"))}
+    subs = ([os.path.join(f"{col}={value}", "*.parquet")] if col else
+            ["*.parquet", os.path.join("*", "*.parquet")])
+    return sorted(f for sub in subs
+                  for f in glob.glob(os.path.join(root, "*", sub))
+                  if os.path.relpath(f, root).split(os.sep)[0] in done)
 
 
 def run_resumable(
@@ -241,12 +236,17 @@ def run_resumable(
     run_partition,
     partitions: list[tuple[str, list[str]]] | None = None,
     max_concurrent: int = 1,
+    *,
+    phase: str | None = None,
+    _fault=None,
 ) -> dict:
     """Run ``run_partition(files, partition_out_dir) -> dict`` once per
     pending partition; completed partitions (manifest present) are skipped.
     A ``run_partition`` that also accepts a ``part_id`` keyword receives
-    the partition's id (fault-injection hooks and per-partition naming
-    need it — callers must not reverse-map it from ``files``).
+    the partition's id (per-partition naming needs it — callers must not
+    reverse-map it from ``files``).  ``_fault(phase, part_id)`` is the
+    test-only crash-injection hook, called before each partition runs;
+    ``phase`` is the name it receives.
 
     The partition function writes its outputs under a temp dir we pass in;
     on success we atomically rename it into place and commit the manifest.
@@ -290,6 +290,8 @@ def run_resumable(
             shutil.rmtree(tmp)  # leftover from a crashed attempt
         os.makedirs(tmp)
         t0 = time.perf_counter()
+        if _fault is not None:
+            _fault(phase, part_id)
         stats = (run_partition(files, tmp, part_id=part_id)
                  if pass_pid else run_partition(files, tmp)) or {}
         # atomic publish: move outputs into place, then commit the manifest
@@ -342,17 +344,76 @@ def run_resumable(
         futures = [pool.submit(one, pid, files) for pid, files in pending[1:]]
         # fail FAST: a systematic error (bad column, unreadable input)
         # fails every partition — cancel the not-yet-started backlog at
-        # the first failure instead of burning through it; in-flight
-        # partitions finish (their committed outputs stay valid for the
-        # resume), matching the sequential path's first-error semantics
-        done, not_done = wait(futures, return_when=FIRST_EXCEPTION)
-        first_err = next((f.exception() for f in done
-                          if f.exception() is not None), None)
-        if first_err is not None:
-            for f in not_done:
-                f.cancel()
-        errs = [f.exception() for f in futures if not f.cancelled()]
-    for e in errs:
-        if e is not None:
-            raise e
+        # the first failure instead of burning through it (without one,
+        # nothing is left pending); in-flight partitions finish (their
+        # committed outputs stay valid for the resume), matching the
+        # sequential path's first-error semantics
+        for f in wait(futures, return_when=FIRST_EXCEPTION).not_done:
+            f.cancel()
+    for f in futures:
+        if not f.cancelled() and f.exception() is not None:
+            raise f.exception()
     return mf.merged_metrics()
+
+
+def map_phase(input_path: str, phase_dir: str, kernel_for, *, phase: str,
+              col: str | None = None, columns: list[str] | None = None,
+              partitions: list[tuple[str, list[str]]] | None = None,
+              max_concurrent: int = 1, _fault=None) -> dict:
+    """One resumable map phase: per input partition, read its files
+    (``columns``), run ``kernel_for(part_id)`` on every block as a
+    ``pa.Table`` and write the result.  With ``col`` the write is
+    hive-partitioned (``<pid>/<col>=<v>/``), so a per-value reader
+    prunes by path (:func:`committed_files`); without it the rows go to
+    flat files and the manifest records ``rows``.  Returns merged run
+    metrics."""
+    import ray.data as rd
+
+    def run(files, pdir, *, part_id):
+        ds = rd.read_parquet(files, columns=columns).map_batches(
+            kernel_for(part_id), batch_format="pyarrow", zero_copy_batch=True)
+        if col is not None:
+            ds.write_parquet(pdir, partition_cols=[col])
+            return {}
+        ds = ds.materialize()
+        ds.write_parquet(pdir)
+        return {"rows": ds.count()}
+
+    return run_resumable(input_path, phase_dir, run, partitions=partitions,
+                         max_concurrent=max_concurrent, phase=phase,
+                         _fault=_fault)
+
+
+def resumable_exchange(input_path: str, out_dir: str, kernel_for, reduce_fn,
+                       *, col: str, num_buckets: int, phases: tuple[str, str],
+                       bucket_id: str = "b{:03d}",
+                       columns: list[str] | None = None,
+                       partitions: list[tuple[str, list[str]]] | None = None,
+                       max_concurrent: int = 1,
+                       _fault=None) -> tuple[str, str]:
+    """The on-disk bucket exchange of a checkpointed run, as two
+    resumable phases under ``out_dir/<phases[0]>`` and
+    ``out_dir/<phases[1]>``:
+
+    1. **map** — per input partition, :func:`map_phase` hive-partitioned
+       on ``col`` (the kernel writes each row's bucket id there);
+    2. **reduce** — per bucket ``b`` in ``range(num_buckets)``
+       (partition id ``bucket_id.format(b)``):
+       ``reduce_fn(files, pdir) -> stats`` on that bucket's committed
+       map files, selected by path.
+
+    Every input file and every bucket is a checkpoint, so a crash in the
+    shuffle costs one bucket.  Returns the two phase dirs."""
+    map_dir, reduce_dir = (os.path.join(out_dir, p) for p in phases)
+    map_phase(input_path, map_dir, kernel_for, phase=phases[0], col=col,
+              columns=columns, partitions=partitions,
+              max_concurrent=max_concurrent, _fault=_fault)
+
+    def run(values, pdir):
+        return reduce_fn(committed_files(map_dir, col, values[0]), pdir)
+
+    run_resumable(
+        input_path, reduce_dir, run,
+        partitions=[(bucket_id.format(b), [b]) for b in range(num_buckets)],
+        max_concurrent=max_concurrent, phase=phases[1], _fault=_fault)
+    return map_dir, reduce_dir

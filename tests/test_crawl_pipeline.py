@@ -190,13 +190,16 @@ def test_crawl_pipeline_crash_resume_equals_single_shot(
 
 def test_partitions_from_parts_ids_stable_and_distinct(tmp_path):
     """Same basename under two partition dirs must get DISTINCT ids, and
-    ids must be pure functions of the relative path."""
-    from logray.state.manifest import partitions_from_parts
+    ids must be pure functions of the relative path.  Only committed
+    partitions (manifest written) feed the next phase."""
+    from logray.state.manifest import RunManifest, partitions_from_parts
 
-    for pid in ("a", "b"):
+    for pid in ("a", "b", "c.inprogress"):
         d = tmp_path / "parts" / pid
         d.mkdir(parents=True)
         (d / "file.parquet").write_bytes(b"x")
+    for pid in ("a", "b"):
+        RunManifest(str(tmp_path)).record(pid, {"partition": pid})
     parts = partitions_from_parts(str(tmp_path))
     ids = [p for p, _ in parts]
     assert len(ids) == 2 and len(set(ids)) == 2

@@ -178,7 +178,9 @@ _SHARD_ID_SITES = {
 def test_bucket_exchange_lives_in_bucketing():
     """No module but stages/bucketing.py groups on a ``__``-prefixed tag
     column: every bucket shuffle goes through ``bucket_exchange``, so
-    how the exchange runs is set in one place."""
+    how the exchange runs is set in one place.  The checkpointed
+    modules run no per-key Dataset ``groupby(...).map_groups`` either:
+    their shuffles go through ``grouped_apply``."""
     root = Path(__file__).resolve().parents[1] / "logray"
     tag_groupby = re.compile(r"\.groupby\(\s*(?:[\"']__|BUCKET_COL\b)")
     offenders = sorted(
@@ -187,3 +189,9 @@ def test_bucket_exchange_lives_in_bucketing():
         {"stages/bucketing.py", *_SHARD_ID_SITES}
         and tag_groupby.search(p.read_text()))
     assert offenders == []
+    keyed_groupby = re.compile(r"\.groupby\((?:[^()]|\([^()]*\))*\)\s*\.map_groups\(")
+    resumable = [*root.glob("functions/*_resumable.py"),
+                 root / "functions" / "shards.py", root / "state" / "manifest.py"]
+    assert len(resumable) >= 5
+    assert sorted(p.relative_to(root).as_posix() for p in resumable
+                  if keyed_groupby.search(p.read_text())) == []

@@ -92,7 +92,7 @@ def test_read_log_lines_edge_files(ray_session, tmp_path):
     assert a == [(0, "one"), (1, "two"), (2, "three")]
 
 
-def test_log_file_to_transcripts(ray_session):
+def test_log_file_to_transcripts(ray_session, golden_lines):
     ds = log_file_to_transcripts("/root/reference/tests/data/sample.log")
     df = ds.to_pandas().sort_values("turn_idx")
     assert len(df) == 62
@@ -173,7 +173,7 @@ def test_cli_filter_verbs(tmp_path):
     assert r.stdout.strip() == ""
 
 
-def test_cli_view_and_search_on_reference_log(tmp_path):
+def test_cli_view_and_search_on_reference_log(tmp_path, golden_lines):
     cfg = str(tmp_path / "cfg")
     fmt = "{INT:Date} {INT:Time} {STR:Level} :{CHR:,.,1}{STR:Source}: {STR:Mesg}"
     r = _cli(
@@ -198,7 +198,7 @@ def test_cli_view_and_search_on_reference_log(tmp_path):
     assert r.returncode == 1
 
 
-def test_cli_run_pipeline(tmp_path, sf_dir):
+def test_cli_run_pipeline(tmp_path, sf_dir, golden_lines):
     cfg = str(tmp_path / "cfg")
     pcfg = tmp_path / "pipe.json"
     pcfg.write_text(

@@ -294,6 +294,25 @@ def test_transition_counts_nan_null_keys_match_duckdb(ray_session, order,
     pd.testing.assert_frame_equal(got, want)
 
 
+@pytest.mark.parametrize("keys", [["x", "x", "x", "y"], [1, 1, 1, 2]],
+                         ids=["str", "int"])
+def test_transition_counts_null_typed_key_block(ray_session, keys):
+    """A block whose keys are all None infers a null-typed key column;
+    the skew-safe plan used to fail casting its null fill to that type.
+    Both plans now agree on it (the null keys pool into one sequence)."""
+    import ray.data as rd
+
+    from logray.stages.sequence import transition_counts
+
+    df = pd.DataFrame({"k": keys, "t": [0, 1, 2, 0], "v": ["a", "b", "a", "c"]})
+    nulls = pd.DataFrame({"k": [None, None], "t": [5, 6], "v": ["a", "c"]})
+    ds = rd.from_pandas([df, nulls])
+    got = [transition_counts(ds, "k", "t", "v", skew_safe=s)
+           .sort_values(["from_val", "to_val"]).values.tolist()
+           for s in (False, True)]
+    assert got[0] == got[1] == [["a", "b", 1], ["a", "c", 1], ["b", "a", 1]]
+
+
 def test_reassembly_kernels_on_empty_tables():
     """The per-bucket Arrow kernels keep a typed schema on empty input."""
     from logray.stages.reassemble import _fold_bucket
