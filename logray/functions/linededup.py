@@ -115,7 +115,7 @@ def _dedup_dense(lines, id_col: str, text_col: str, min_len: int, sep: str,
         rest = rest.append_column(
             "__dd", pa.array(np.zeros(rest.num_rows, np.bool_)))
         t = pa.concat_tables([cand, rest])
-        b = bucket_of(t["line"].to_numpy(zero_copy_only=False), num_buckets)
+        b = bucket_of(t["line"], num_buckets)
         return t.append_column(BUCKET_COL, pa.array(b))
 
     def keep_winner(g: pd.DataFrame) -> pd.DataFrame:
@@ -172,7 +172,7 @@ def _dedup_sparse(ds, lines, contested: np.ndarray, id_col: str,
         t = t.filter(pa.array(long & hit))
         if t.num_rows == 0:
             return t.append_column(BUCKET_COL, pa.array([], pa.int64()))
-        b = bucket_of(t["line"].to_numpy(zero_copy_only=False), num_buckets)
+        b = bucket_of(t["line"], num_buckets)
         return t.append_column(BUCKET_COL, pa.array(b))
 
     def winner_bucket(g: pd.DataFrame) -> pd.DataFrame:

@@ -9,7 +9,10 @@
   tag column already stripped.  Every hash-bucket shuffle in logray runs
   through it (:func:`grouped_apply` is tagger + exchange; operators with
   their own bucket id write :data:`BUCKET_COL` and call it directly), so
-  the shuffle strategy is set here and nowhere else.
+  the shuffle strategy is set here and nowhere else.  It is a split ->
+  reduce on plain Ray tasks (no Ray ``groupby`` sort), its reduce-task
+  count set by the one sizing rule :func:`reduce_tasks`, and it is
+  EAGER: the input runs when the exchange is called.
 - :func:`stream_fold` — the bounded-memory driver fold: stream partial
   batches, re-fold whenever the pending buffer passes ``max_pending_rows``
   (memory stays O(distinct keys), the pull overlaps distributed
@@ -84,9 +87,31 @@ def arrow_type_of(typ) -> pa.DataType | None:
         return None
 
 
+def _string_buckets(col, num_buckets: int) -> np.ndarray:
+    """:func:`key_hashes` buckets of a string / large_string Arrow column,
+    hashing each distinct value once: ``dictionary_encode``, hash the
+    dictionary, index by ``indices``.  Nulls are pinned to bucket 0."""
+    import pyarrow.compute as pc
+
+    d = pa.chunked_array(col).dictionary_encode().unify_dictionaries()
+    if d.num_chunks == 0:
+        return np.zeros(0, np.int64)
+    uniq = d.chunk(0).dictionary
+    b = np.append(key_hashes(uniq.to_numpy(zero_copy_only=False))
+                  % num_buckets, 0).astype(np.int64)
+    idx = pc.fill_null(pa.chunked_array([c.indices for c in d.chunks]),
+                       len(uniq))
+    return b[idx.to_numpy()]
+
+
+def _is_string(typ) -> bool:
+    return pa.types.is_string(typ) or pa.types.is_large_string(typ)
+
+
 def bucket_tagger(key_col: str, num_buckets: int):
     """map_batches fn appending ``BUCKET_COL = hash(key_col) % num_buckets``
-    (dtype-canonical, see :func:`key_hashes`).
+    (dtype-canonical, see :func:`key_hashes`; a string key hashes each
+    distinct value once, :func:`_string_buckets`).
 
     Null keys are pinned to bucket 0: their hash is NOT stable across
     block dtypes (an all-null block infers a null-typed Arrow column
@@ -97,18 +122,27 @@ def bucket_tagger(key_col: str, num_buckets: int):
     def tag(t: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
 
-        kh = key_hashes(t[key_col].to_numpy(zero_copy_only=False))
+        col = t[key_col]
+        if _is_string(col.type):
+            return t.append_column(BUCKET_COL, pa.array(
+                _string_buckets(col, num_buckets)))
+        kh = key_hashes(col.to_numpy(zero_copy_only=False))
         b = (kh % num_buckets).astype(np.int64)
-        valid = pc.is_valid(t[key_col]).to_numpy(zero_copy_only=False)
+        valid = pc.is_valid(col).to_numpy(zero_copy_only=False)
         b[~np.asarray(valid, np.bool_)] = 0
         return t.append_column(BUCKET_COL, pa.array(b))
 
     return tag
 
 
-def bucket_of(keys: np.ndarray, num_buckets: int) -> np.ndarray:
+def bucket_of(keys, num_buckets: int) -> np.ndarray:
     """The same bucket assignment for code already holding a numpy array
-    (nulls pinned to bucket 0, see :func:`bucket_tagger`)."""
+    or an Arrow column (nulls pinned to bucket 0, see
+    :func:`bucket_tagger`)."""
+    if isinstance(keys, (pa.Array, pa.ChunkedArray)):
+        if _is_string(keys.type):
+            return _string_buckets(keys, num_buckets)
+        keys = keys.to_numpy(zero_copy_only=False)
     b = (key_hashes(keys) % num_buckets).astype("int64")
     b[pd.isna(keys)] = 0
     return b
@@ -165,7 +199,7 @@ def bucket_sizes(ds, key_col: str, num_buckets: int = 32) -> np.ndarray:
     memory by BLOCK size, not key mass."""
 
     def part(t: pa.Table) -> pa.Table:
-        b = bucket_of(t[key_col].to_numpy(zero_copy_only=False), num_buckets)
+        b = bucket_of(t[key_col], num_buckets)
         return pa.table({"c": pa.array(
             np.bincount(b, minlength=num_buckets).astype(np.int64))})
 
@@ -178,19 +212,121 @@ def bucket_sizes(ds, key_col: str, num_buckets: int = 32) -> np.ndarray:
     return tot
 
 
+def reduce_tasks(num_blocks: int, num_bytes: int, cpus: int,
+                 target_block_bytes: int | None) -> int:
+    """THE sizing rule for the exchange's reduce-task count ``k``:
+    ``max(min(cpus, num_blocks), ceil(num_bytes / target_block_bytes), 1)``.
+    Parallel reducers up to the cluster's CPUs (never more than there are
+    input blocks to split), and enough of them that each holds about one
+    Ray block of the tagged input (``DataContext.target_max_block_size``).
+    Every reduce task is one more split output per block and one more task
+    to schedule, so on a small host one reducer beats many."""
+    k = min(cpus, num_blocks)
+    if target_block_bytes:
+        k = max(k, -(-num_bytes // target_block_bytes))
+    return max(k, 1)
+
+
+def _split(block, k: int):
+    """Split task: the rows of one tagged block ordered stably by
+    (``b % k``, ``b``) and cut into ``k`` slices, slice ``j`` holding the
+    buckets of reducer ``j``; the last return is the per-reducer row
+    count."""
+    from ray.data.block import BlockAccessor
+
+    acc = BlockAccessor.for_block(block)
+    if acc.num_rows() == 0:  # a schema-less empty block has no tag column
+        return (*[block] * k, np.zeros(k, np.int64))
+    b = np.asarray(acc.to_numpy(BUCKET_COL), np.int64)
+    r = b % k
+    counts = np.bincount(r, minlength=k)
+    acc = BlockAccessor.for_block(acc.take(np.lexsort((b, r))))
+    ends = np.cumsum(counts)
+    return (*[acc.slice(int(e - c), int(e), copy=False)
+              for c, e in zip(counts, ends)], counts)
+
+
+def _reduce(fn, batch_format: str, *parts):
+    """Reduce task: concatenate this reducer's slices in input-block order
+    (``DelegatingBlockBuilder``: Arrow or pandas blocks, and unions whose
+    blocks carry different schemas), stable-sort on :data:`BUCKET_COL` and
+    call ``fn`` once per bucket on the tag-stripped frame.  Returns the
+    output block and whether it is a pandas block."""
+    from ray.data._internal.delegating_block_builder import \
+        DelegatingBlockBuilder
+    from ray.data.block import BlockAccessor
+
+    builder = DelegatingBlockBuilder()
+    for part in parts:
+        builder.add_block(part)
+    acc = BlockAccessor.for_block(builder.build())
+    out = DelegatingBlockBuilder()
+    if acc.num_rows():
+        b = np.asarray(acc.to_numpy(BUCKET_COL), np.int64)
+        order = np.argsort(b, kind="stable")
+        acc = BlockAccessor.for_block(acc.take(order))
+        b = b[order]
+        bounds = [0, *(np.flatnonzero(b[1:] != b[:-1]) + 1), len(b)]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            g = BlockAccessor.for_block(acc.slice(lo, hi, copy=False)) \
+                .to_batch_format(batch_format)
+            out.add_batch(fn(g.drop_columns([BUCKET_COL])
+                             if isinstance(g, pa.Table)
+                             else g.drop(columns=BUCKET_COL)))
+    block = out.build()
+    return block, isinstance(block, pd.DataFrame)
+
+
 def bucket_exchange(tagged_ds, fn, batch_format: str = "pandas"):
-    """The bucket shuffle: group ``tagged_ds`` on its :data:`BUCKET_COL`
-    column and call ``fn(bucket_frame) -> frame`` once per bucket, on a
-    frame (``batch_format``) without the tag column.  The caller chooses
-    the bucket id (:func:`bucket_tagger`, or its own hash when the
-    assignment must differ); the exchange owns how the rows move."""
+    """The bucket shuffle: co-locate the rows of each :data:`BUCKET_COL`
+    value of ``tagged_ds`` and call ``fn(bucket_frame) -> frame`` once per
+    bucket, on a frame (``batch_format``) without the tag column.  The
+    caller chooses the bucket id (:func:`bucket_tagger`, or its own hash
+    when the assignment must differ); the exchange owns how the rows move.
 
-    def strip(g):
-        return fn(g.drop_columns([BUCKET_COL]) if isinstance(g, pa.Table)
-                  else g.drop(columns=BUCKET_COL))
+    It runs on plain Ray tasks, split -> reduce, with ``k`` reduce tasks
+    from :func:`reduce_tasks`: each non-empty tagged block gets one split
+    task that cuts it into ``k`` slices by ``b % k`` (with ``k == 1`` the
+    block goes to the reducer as it is), and reduce task ``j`` folds the
+    buckets ``b % k == j`` (:func:`_reduce`).  A reducer with no rows is
+    never launched, so every output block comes from ``fn`` on real rows.
+    The tasks are pure, so Ray's retries replay them safely.
 
-    return tagged_ds.groupby(BUCKET_COL).map_groups(
-        strip, batch_format=batch_format)
+    EAGER: the input runs, and the reducers are launched, when this is
+    called; the result is a materialized Dataset of the reducers' blocks."""
+    import ray
+    from ray.data import DataContext
+    from ray.data._internal.remote_fn import cached_remote_fn
+
+    # input-block order is part of the result: a reducer concatenates its
+    # slices in that order, and a union's blocks otherwise arrive in
+    # whatever order its inputs finish
+    opts = tagged_ds.context.execution_options
+    keep, opts.preserve_order = opts.preserve_order, True
+    try:
+        blocks = [(ref, meta)
+                  for bundle in tagged_ds.iter_internal_ref_bundles()
+                  for ref, meta in bundle.blocks if meta.num_rows != 0]
+    finally:
+        opts.preserve_order = keep
+    k = reduce_tasks(len(blocks), sum(m.size_bytes or 0 for _, m in blocks),
+                     int(ray.cluster_resources().get("CPU", 1)),
+                     DataContext.get_current().target_max_block_size)
+    if k == 1:
+        parts = [[ref for ref, _ in blocks]]
+    else:
+        split = cached_remote_fn(_split)
+        cuts = [split.options(num_returns=k + 1).remote(ref, k)
+                for ref, _ in blocks]
+        counts = ray.get([c[k] for c in cuts])
+        parts = [[c[j] for c, n in zip(cuts, counts) if n[j]]
+                 for j in range(k)]
+    reduce = cached_remote_fn(_reduce, num_returns=2)
+    outs = [reduce.remote(fn, batch_format, *p) for p in parts if p]
+    refs = [block for block, _ in outs]
+    if any(ray.get([is_pandas for _, is_pandas in outs])):
+        return ray.data.from_pandas_refs(refs)
+    return ray.data.from_arrow_refs(refs)
 
 
 def grouped_apply(ds, key_cols, fn, num_buckets: int = 32,
@@ -212,7 +348,10 @@ def grouped_apply(ds, key_cols, fn, num_buckets: int = 32,
     reducer should take ``batch_format="pyarrow"`` and run an Arrow kernel
     per bucket (``reassemble._fold_bucket``, ``sequence._count_windows``):
     with ``"pandas"`` every text value becomes a Python object, and that
-    conversion, not the shuffle, dominates the reducer's cost."""
+    conversion, not the shuffle, dominates the reducer's cost.  Like
+    :func:`bucket_exchange` it is EAGER: ``ds`` runs when this is called,
+    on ``reduce_tasks(...)`` plain reduce tasks (each holding the buckets
+    ``b % k == j``), and the result is materialized."""
     key_cols = [key_cols] if isinstance(key_cols, str) else list(key_cols)
     tagged = ds.map_batches(bucket_tagger(key_cols[0], num_buckets),
                             batch_format="pyarrow", zero_copy_batch=True)

@@ -6,11 +6,11 @@ provides the three shapes a pipeline needs:
 - :func:`broadcast_join` — small side shipped once (``ray.put``), joined
   per batch with an Arrow-native ``pa.Table.join``.  No shuffle; the right
   answer for dimension tables (generalizes stages/enrich.py).
-- :func:`hash_join` — both sides large: Ray's native hash-partitioned
-  ``Dataset.join`` when available, else an explicit bucketed join
-  (add ``bucket = hash(key) % B`` to both sides, co-group per bucket and
-  merge inside ``map_groups``) — the portable partitioned-hash-join
-  pattern; B and skew handling are explicit.
+- :func:`hash_join` — both sides large: an explicit bucketed join (add
+  ``bucket = hash(key) % B`` to both sides, co-group per bucket through
+  the bucket exchange and merge each bucket with an Arrow hash join) —
+  the portable partitioned-hash-join pattern; B and skew handling are
+  explicit.
 """
 
 from __future__ import annotations
@@ -126,31 +126,16 @@ def hash_join(left, right, on, right_on=None, how: str = "inner",
     """Large-large equi-join, hash-partitioned on the key.  ``how`` uses
     pandas naming: inner / left / right / outer (full).
 
-    Only ``inner`` uses Ray's builtin JoinOperator: the builtin coalesces
-    ``right_on`` into the left key column (outer results lose the right
-    key), and its aggregator-actor pool can starve under small CPU
-    budgets; the bucketed shuffle path keeps both key columns and runs on
-    plain tasks."""
+    Every ``how`` runs on the bucketed join (:func:`_bucketed_join`, on
+    the plain-task bucket exchange, so it is eager).  An inner join keeps
+    only the left key columns (the right ones hold the same values);
+    outer joins keep both, since the absent side's key is null."""
     on = (on,) if isinstance(on, str) else tuple(on)
     right_on = on if right_on is None else (
         (right_on,) if isinstance(right_on, str) else tuple(right_on)
     )
-    if hasattr(left, "join") and how == "inner":
-        lt = _arrow_types(left.schema())
-        rt = _arrow_types(right.schema())
-        if (lt is not None and rt is not None
-                and all(lt[a] == rt[b] for a, b in zip(on, right_on))):
-            return left.join(
-                right,
-                join_type="inner",
-                num_partitions=num_partitions,
-                on=on,
-                right_on=right_on if right_on != on else None,
-            )
-        # mismatched key dtypes (int64 vs float64) or object-block
-        # schemas crash or mis-route the builtin typed hash join — the
-        # bucketed path normalizes / falls back per dtype pair
-    return _bucketed_join(left, right, on, right_on, how, num_partitions)
+    return _bucketed_join(left, right, on, right_on, how, num_partitions,
+                          coalesce_keys=how == "inner")
 
 
 _BUCKETED_JOIN_TYPE = {"inner": "inner", "left": "left outer",
@@ -193,7 +178,8 @@ def _arrow_types(sch) -> dict | None:
 
 
 def _bucketed_join(left, right, on, right_on, how, num_buckets,
-                   expect_left_one_to_one: bool = False):
+                   expect_left_one_to_one: bool = False,
+                   coalesce_keys: bool = False):
     """Explicit partitioned hash join: tag both sides with
     ``hash(key) % B``, union, co-group per bucket, merge per group with an
     Arrow-native ``pa.Table.join`` (Acero hash join).  Salt hot keys by
@@ -212,6 +198,8 @@ def _bucketed_join(left, right, on, right_on, how, num_buckets,
     back onto its source) raises per bucket when the joined row count
     differs from the bucket's left row count — the cheap guard against a
     non-unique join-back key silently multiplying rows.
+    ``coalesce_keys=True`` drops differently-named right key columns from
+    the output (for inner joins, where they equal the left keys).
 
     Falls back to the pandas merge (NaN-key matching, _x/_y collision
     suffixes, float64 null-padding) only when a side's schema holds
@@ -221,7 +209,8 @@ def _bucketed_join(left, right, on, right_on, how, num_buckets,
     right, rtypes = _normalize_arrow(right)
     if ltypes is None or rtypes is None or how not in _BUCKETED_JOIN_TYPE:
         return _bucketed_join_pandas(left, right, on, right_on, how,
-                                     num_buckets, expect_left_one_to_one)
+                                     num_buckets, expect_left_one_to_one,
+                                     coalesce_keys)
     same_keys = tuple(on) == tuple(right_on)
     if any(ltypes[a] != rtypes[b] for a, b in zip(on, right_on)):
         # coalesced same-named keys must share one dtype in the union;
@@ -229,7 +218,8 @@ def _bucketed_join(left, right, on, right_on, how, num_buckets,
         # Acero's typed hash join reject or miss — pandas merge matches
         # 2 with 2.0 (and the canonical bucket hash keeps them together)
         return _bucketed_join_pandas(left, right, on, right_on, how,
-                                     num_buckets, expect_left_one_to_one)
+                                     num_buckets, expect_left_one_to_one,
+                                     coalesce_keys)
     # rename colliding right columns BEFORE the union so one shared column
     # never has to carry two dtypes (same-named keys coalesce instead);
     # keep appending the suffix until the name is actually free so a real
@@ -246,6 +236,8 @@ def _bucketed_join(left, right, on, right_on, how, num_buckets,
     right_named = {ren.get(c, c): t for c, t in rtypes.items()}
     right_keys = [ren.get(c, c) for c in right_on]
     all_cols = list(ltypes) + [c for c in right_named if c not in ltypes]
+    out_cols = [c for c in all_cols if same_keys or not coalesce_keys
+                or c not in right_keys]
     types = dict(right_named)
     types.update(ltypes)
 
@@ -297,13 +289,14 @@ def _bucketed_join(left, right, on, right_on, how, num_buckets,
                 f"_bucketed_join: expected a 1:1 join-back but a bucket's "
                 f"{l.num_rows} left rows joined to {out.num_rows} rows — "
                 f"the right-side key {right_keys} is not unique")
-        return out.select(all_cols)
+        return out.select(out_cols)
 
     return bucket_exchange(both, merge, batch_format="pyarrow")
 
 
 def _bucketed_join_pandas(left, right, on, right_on, how, num_buckets,
-                          expect_left_one_to_one: bool = False):
+                          expect_left_one_to_one: bool = False,
+                          coalesce_keys: bool = False):
     """Legacy pandas-merge bucketed join, kept ONLY for inputs whose
     schema cannot be expressed in Arrow (mixed-object blocks) or whose
     key dtypes differ across sides.  Caveats vs the Arrow path: NaN keys
@@ -342,6 +335,9 @@ def _bucketed_join_pandas(left, right, on, right_on, how, num_buckets,
                 f"_bucketed_join: expected a 1:1 join-back but a bucket's "
                 f"{len(l)} left rows joined to {len(out)} rows — the "
                 f"right-side key {list(right_on)} is not unique")
+        if coalesce_keys:
+            out = out.drop(columns=[c for c in right_on
+                                    if c not in on and c in out.columns])
         return out
 
     return bucket_exchange(both, merge)
@@ -372,7 +368,7 @@ def asof_join(left, right, key: str, ts_col: str = "ts", right_cols=None,
 
     def tag(side):
         def fn(t: pa.Table) -> pa.Table:
-            b = bucket_of(t[key].to_numpy(zero_copy_only=False), num_buckets)
+            b = bucket_of(t[key], num_buckets)
             t = t.append_column(BUCKET_COL, pa.array(b))
             return t.append_column("__side", pa.array(np.full(t.num_rows, side, np.int8)))
         return fn

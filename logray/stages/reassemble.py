@@ -4,13 +4,13 @@ The reference keeps one strictly ordered view and pages through it with a
 bounded window (log_parser_interface.cpp LineBlock).  The distributed
 equivalents:
 
-- :func:`reassemble_conversations` — ``groupby(conv_id)`` +
-  in-group sort by ``turn_idx`` (+ optional per-group transform).  The
-  shuffle key is conv_id, the engine's canonical partitioning key.  For
-  count-like aggregates skew is handled upstream by partial pre-aggregation
-  (stages/aggregate.py); for reassembly itself a hot conversation must land
-  on one worker by definition — ``max_turns_per_group`` guards against a
-  single conversation exceeding worker memory by chunking its transform.
+- :func:`reassemble_conversations` — a ``hash(conv_id)`` bucket shuffle
+  (:func:`grouped_apply`) + in-bucket sort by (conv_id, ``turn_idx``)
+  (+ optional per-conversation transform).  The shuffle key is conv_id,
+  the engine's canonical partitioning key.  For count-like aggregates
+  skew is handled upstream by partial pre-aggregation
+  (stages/aggregate.py); for reassembly itself a hot conversation must
+  land on one worker by definition.
 - :func:`ordered_view` — globally sorted by (conv_id, turn_idx): the total
   order used for per-turn text-equality checks.
 - :func:`preview` — the LineBlock analog: the first ``n`` rows at/after a
@@ -25,7 +25,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from logray.stages.bucketing import grouped_apply, stream_fold
+from logray.stages.bucketing import grouped_apply, run_starts, stream_fold
 
 # preview pulls up to n rows from every batch to the driver: an n this
 # large is a bulk read, which ordered_view serves
@@ -35,13 +35,21 @@ MAX_PREVIEW_ROWS = 10_000
 def reassemble_conversations(ds, fn=None, conv_col: str = "conv_id", turn_col: str = "turn_idx"):
     """Per-conversation ordered view: rows of each conv sorted by turn_idx,
     with an optional per-conversation transform ``fn(df) -> df`` applied to
-    the ordered group (e.g. windowing, concatenation, dialogue folding)."""
+    the ordered group (e.g. windowing, concatenation, dialogue folding).
+    One :func:`grouped_apply` shuffle on conv: each bucket is sorted by
+    (conv, turn) and ``fn`` runs once per conversation run (null convs
+    pool into one run)."""
 
-    def per_group(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(turn_col, kind="mergesort")
-        return fn(g) if fn is not None else g
+    def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
+        g = g.sort_values([conv_col, turn_col], kind="mergesort")
+        if fn is None:
+            return g
+        starts = np.flatnonzero(run_starts(g[conv_col].to_numpy()))
+        return pd.concat([fn(g.iloc[a:b]) for a, b in
+                          zip(starts, [*starts[1:], len(g)])],
+                         ignore_index=True)
 
-    return ds.groupby(conv_col).map_groups(per_group, batch_format="pandas")
+    return grouped_apply(ds, conv_col, per_bucket)
 
 
 def fold_dialogue(sep: str = "\n", text_col: str = "text",

@@ -195,3 +195,146 @@ def test_bucket_exchange_lives_in_bucketing():
     assert len(resumable) >= 5
     assert sorted(p.relative_to(root).as_posix() for p in resumable
                   if keyed_groupby.search(p.read_text())) == []
+
+
+def test_exchange_runs_on_plain_tasks():
+    """The exchange is the split -> reduce on plain tasks: no Ray
+    groupby/map_groups path is left beside it in bucketing.py."""
+    src = (Path(__file__).resolve().parents[1] / "logray" / "stages"
+           / "bucketing.py").read_text()
+    assert ".groupby(" not in src and ".map_groups(" not in src
+
+
+def test_reduce_tasks_sizing():
+    """One rule sets the exchange's reduce-task count: parallel up to the
+    CPUs, never more than the input blocks, at least one reducer per
+    target-sized block of tagged bytes, and one for empty input."""
+    from logray.stages.bucketing import reduce_tasks
+
+    mib = 1 << 20
+    assert reduce_tasks(100, 10 * mib, cpus=4, target_block_bytes=128 * mib) == 4
+    assert reduce_tasks(2, 10 * mib, cpus=32, target_block_bytes=128 * mib) == 2
+    assert reduce_tasks(3, 1000 * mib + 1, cpus=1,
+                        target_block_bytes=100 * mib) == 11
+    assert reduce_tasks(0, 0, cpus=8, target_block_bytes=128 * mib) == 1
+    assert reduce_tasks(5, 10 * mib, cpus=8, target_block_bytes=None) == 5
+
+
+@pytest.fixture()
+def spy_reduce_tasks(monkeypatch):
+    """Record every reduce-task count the exchange picks, with the count
+    the CPU and block bounds alone would give."""
+    from logray.stages import bucketing
+
+    seen = []
+    rule = bucketing.reduce_tasks
+
+    def spy(num_blocks, num_bytes, cpus, target_block_bytes):
+        k = rule(num_blocks, num_bytes, cpus, target_block_bytes)
+        seen.append((k, min(cpus, num_blocks)))
+        return k
+
+    monkeypatch.setattr(bucketing, "reduce_tasks", spy)
+    return seen
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN))
+def test_exchange_outputs_pinned_one_reducer(ray_session, monkeypatch, case):
+    """The pinned outputs with every exchange on a single reducer."""
+    from logray.stages import bucketing
+
+    monkeypatch.setattr(bucketing, "reduce_tasks", lambda *a, **k: 1)
+    assert _digest(_run(case)) == _GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN))
+def test_exchange_outputs_pinned_byte_bound(ray_session, spy_reduce_tasks,
+                                            case):
+    """The pinned outputs with the reducer count forced past the CPU
+    count by a small Ray target block size (the byte bound of the rule)."""
+    from ray.data import DataContext
+
+    ctx = DataContext.get_current()
+    old = ctx.target_max_block_size
+    ctx.target_max_block_size = 512
+    try:
+        got = _digest(_run(case))
+    finally:
+        ctx.target_max_block_size = old
+    assert got == _GOLDEN[case]
+    assert any(k > parallel for k, parallel in spy_reduce_tasks)
+
+
+def test_exchange_all_empty_blocks(ray_session):
+    """An input whose blocks all hold zero rows launches no reducer and
+    gives an empty result."""
+    from logray.stages.bucketing import grouped_apply
+
+    ds = _ds(_events()).map_batches(lambda t: t.slice(0, 0),
+                                    batch_format="pyarrow")
+    out = grouped_apply(ds, "conv_id", lambda t: t, num_buckets=B,
+                        batch_format="pyarrow")
+    assert out.count() == 0
+    assert out.take_all() == []
+
+
+def test_exchange_output_blocks_have_rows_and_schema(ray_session):
+    """Most of 64 buckets are empty; no reducer runs on an empty one, so
+    every output block has rows and a schema (an empty schema-less block
+    is what made Ray warn about a RefBundle with a different schema)."""
+    import ray
+
+    from logray.stages.bucketing import grouped_apply
+
+    out = grouped_apply(_ds(_events()), "conv_id", lambda t: t,
+                        num_buckets=64, batch_format="pyarrow")
+    blocks = ray.get(out.to_arrow_refs())
+    assert blocks and sum(b.num_rows for b in blocks) == 180
+    assert all(b.num_rows and "conv_id" in b.schema.names for b in blocks)
+
+
+def test_exchange_exact_under_worker_kill(ray_session, tmp_path):
+    """A reducer whose worker dies mid-bucket is retried by Ray (the split
+    and reduce tasks are pure) and the output equals a clean run's."""
+    import os
+
+    from logray.stages.reassemble import _fold_bucket
+    from logray.stages.bucketing import grouped_apply
+
+    marker = str(tmp_path / "killed")
+
+    def fold_or_die(t: pa.Table) -> pa.Table:
+        try:
+            open(marker, "x").close()
+        except FileExistsError:
+            return _fold_bucket(t)
+        os._exit(1)
+
+    got = grouped_apply(_ds(_events()), "conv_id", fold_or_die,
+                        num_buckets=B, batch_format="pyarrow")
+    assert os.path.exists(marker)
+    assert _digest(got) == _GOLDEN["fold_dialogues"]
+
+
+@pytest.mark.parametrize("typ", [pa.string(), pa.large_string()])
+def test_string_buckets_match_key_hashes(typ):
+    """String keys hash each distinct value once (dictionary_encode) and
+    land in the same bucket as :func:`key_hashes` of every row: nulls
+    pinned to bucket 0, empty strings, non-ASCII text, chunked input."""
+    from logray.stages.bucketing import (BUCKET_COL, bucket_of,
+                                         bucket_tagger, key_hashes)
+
+    vals = ["", "a", "é", "日本語", "a", None, "🙂", "", None, "b" * 300]
+    col = pa.chunked_array([pa.array(vals[:4], typ), pa.array([], typ),
+                            pa.array(vals[4:], typ)])
+    for nb in (1, 3, 32):
+        want = (key_hashes(np.array(vals, dtype=object)) % nb).astype(np.int64)
+        want[[v is None for v in vals]] = 0
+        tagged = bucket_tagger("k", nb)(pa.table({"k": col}))
+        assert tagged[BUCKET_COL].to_numpy().tolist() == want.tolist()
+        assert bucket_of(col, nb).tolist() == want.tolist()
+        assert bucket_of(np.array(vals, dtype=object), nb).tolist() \
+            == want.tolist()
+    for empty in (pa.chunked_array([], typ), pa.array([None, None], typ)):
+        assert bucket_tagger("k", 7)(pa.table({"k": empty}))[BUCKET_COL] \
+            .to_pylist() == [0] * len(empty)
