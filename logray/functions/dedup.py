@@ -4,13 +4,13 @@ embedding-cosine.
 Scale shapes (documented per operator):
 
 - **exact**: content-hash each row in ``map_batches`` (vectorized FNV), then
-  hash-partition ``groupby(content_hash)`` keeping the min-id row per group.
+  one bucket exchange on the hash keeping the min-id row per text.
   One shuffle of (hash, id, payload); collision-checked against text equality
-  within the group.
+  within the bucket.
 - **MinHash-LSH**: shingle -> minhash signature per batch (numpy reduceat),
-  explode to (band, band_hash, doc_id, signature) rows, ``groupby`` the band
-  key, emit candidate pairs per bucket, verify by signature agreement — the
-  classic Broder/LSH pipeline where the only wide op is the band groupby.
+  explode to (band, band_hash, doc_id, signature) rows, exchange on the band
+  key, emit candidate pairs per key run, verify by signature agreement — the
+  classic Broder/LSH pipeline where the only wide op is the band exchange.
   Band rows carry the signature (num_perm*8 bytes) so verification needs no
   second join; at extreme scale swap to a bucketed signature join.
 - **SimHash**: 64-bit fingerprint; bucket by 16-bit chunks (any pair within
@@ -18,7 +18,10 @@ Scale shapes (documented per operator):
 - **n-gram Jaccard**: exact char-n-gram set Jaccard for candidate pairs
   inside co-partitioned groups.
 - **embedding**: random-hyperplane LSH buckets then exact cosine within
-  buckets (numpy matmul per group).
+  buckets (numpy matmul per key run).
+
+Every pair miner is a small scorer on one per-run driver
+(:func:`_pair_runs`) and one capped, chunked pair kernel (:func:`_pair_kernel`).
 """
 
 from __future__ import annotations
@@ -101,51 +104,83 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
 # ---------------------------------------------------------------------------
 
 
-def _cap_bucket(ids: np.ndarray, max_bucket: int, what: str):
-    """Hot-bucket guard: truncate a sorted bucket to its ``max_bucket``
-    smallest ids, logging the dropped-pair count (no silent caps)."""
-    n = len(ids)
+def _cap_bucket(n: int, max_bucket: int, what: str) -> int:
+    """Hot-bucket guard: how many rows of a sorted bucket of ``n`` rows to
+    keep (its ``max_bucket`` smallest ids), logging the dropped-pair count
+    (no silent caps)."""
     if n <= max_bucket:
-        return slice(None)
+        return n
     dropped_pairs = n * (n - 1) // 2 - max_bucket * (max_bucket - 1) // 2
     logger.warning(
         "%s: hot bucket of %d rows capped to %d (up to %d candidate pairs "
         "skipped in this bucket; recall for its rows relies on other bands)",
         what, n, max_bucket, dropped_pairs,
     )
-    return slice(0, max_bucket)
+    return max_bucket
 
 
-def _pairs_from_bucket(ids: np.ndarray, sigs: np.ndarray, threshold: float,
-                       num_perm: int, max_bucket: int = DEFAULT_MAX_BUCKET,
-                       chunk: int = 128):
-    """Candidate pairs within one bucket verified by signature agreement.
-
-    Block-wise vectorized: rows are compared a ``chunk`` at a time against
-    the rest of the (capped) bucket with one numpy equality reduction —
-    no per-row Python loop (a capped 4096-row bucket is ~130 chunk steps)."""
-    order = np.argsort(ids, kind="stable")
-    ids, sigs = ids[order], sigs[order]
-    sel = _cap_bucket(ids, max_bucket, "minhash_lsh")
-    ids, sigs = ids[sel], sigs[sel]
+def _pair_kernel(ids: np.ndarray, score, chunk: int, whole: bool = False):
+    """The chunked pair kernel over one capped, id-sorted key run:
+    ``score(rows, cols) -> (hit, *values)`` scores row chunks against
+    columns ``[s:]``, or the whole run when ``whole`` (a float matmul
+    keeps its pinned shapes).  Keeps upper-triangle hits whose ids differ
+    (a repeated id pairs with nothing, as the SQL twins' ``a.id < b.id``)
+    and returns their row indices ``i < j`` and values."""
     n = len(ids)
-    out_a, out_b, out_sim = [], [], []
-    col_idx = np.arange(n)
+    out = []
     for s in range(0, n - 1, chunk):
         e = min(s + chunk, n - 1)
-        # (c, n-s) fraction of agreeing slots between rows [s:e) and [s:)
-        agree = (sigs[s:e, None, :] == sigs[None, s:, :]).sum(axis=2) / num_perm
-        upper = col_idx[None, s:] > col_idx[s:e, None]  # strict j > i
-        ii, jj = np.nonzero((agree >= threshold) & upper)
-        if len(ii):
-            gi, gj = ii + s, jj + s
-            neq = ids[gi] != ids[gj]
-            out_a.append(ids[gi][neq])
-            out_b.append(ids[gj][neq])
-            out_sim.append(agree[ii, jj][neq].astype(float))
-    if not out_a:
-        return [], [], []
-    return (np.concatenate(out_a), np.concatenate(out_b), np.concatenate(out_sim))
+        c0 = 0 if whole else s
+        hit, *vals = score(slice(s, e), slice(c0, n))
+        ii, jj = np.nonzero(hit & (np.arange(c0, n) > np.arange(s, e)[:, None]))
+        keep = ids[ii + s] != ids[jj + c0]
+        ii, jj = ii[keep], jj[keep]
+        out.append((ii + s, jj + c0, *(v[ii, jj] for v in vals)))
+    return [np.concatenate(c) for c in zip(*out)]
+
+
+def _pair_runs(ds, keys, id_col: str, max_bucket: int, what: str, score_run,
+               scores: dict, carry=()):
+    """The per-run pair driver behind every pair miner: one exchange on
+    ``keys[0]``, then per bucket sort by (``keys``, id), cut the key runs
+    (:func:`run_starts`, nulls pooled), cap each run (:func:`_cap_bucket`)
+    and score it with ``score_run(run, ids)`` over :func:`_pair_kernel`.
+    Columns: ``id_a``, ``id_b``, ``scores`` (name -> dtype), ``carry``."""
+
+    def bucket_pairs(t: pa.Table) -> pa.Table:
+        t = t.sort_by([(c, "ascending") for c in (*keys, id_col)])
+        new = np.zeros(t.num_rows, np.bool_)
+        for c in keys:
+            new |= run_starts(t[c].to_numpy(zero_copy_only=False))
+        starts = np.flatnonzero(new)
+        # typed empties first: a bucket may hold no pair at all
+        parts = [[np.zeros(0, np.int64)] * 2
+                 + [np.zeros(0, dt) for dt in scores.values()]]
+        for lo, hi in zip(starts, [*starts[1:], t.num_rows]):
+            m = _cap_bucket(hi - lo, max_bucket, what)
+            if m > 1:
+                run = t.slice(lo, m)
+                i, j, *vals = score_run(
+                    run, run[id_col].to_numpy(zero_copy_only=False))
+                parts.append([i + lo, j + lo, *vals])
+        i, j, *vals = (np.concatenate(c) for c in zip(*parts))
+        return pa.table({
+            "id_a": t[id_col].take(i), "id_b": t[id_col].take(j),
+            **{name: pa.array(v.astype(dt, copy=False))
+               for (name, dt), v in zip(scores.items(), vals)},
+            **{c: t[c].take(i) for c in carry}})
+
+    return grouped_apply(ds, keys, bucket_pairs, batch_format="pyarrow")
+
+
+def _group_pairs(ds, group_cols, id_col: str, text_col: str,
+                 max_bucket: int, what: str, score_run, scores: dict):
+    """Pairs within each ``group_cols`` key (appended to each pair), from
+    the narrow (keys, id, text) projection."""
+    keys = [group_cols] if isinstance(group_cols, str) else list(group_cols)
+    return _pair_runs(
+        ds.select_columns(list(dict.fromkeys([*keys, id_col, text_col]))),
+        keys, id_col, max_bucket, what, score_run, scores, carry=keys)
 
 
 def _explode_bands_fn(text_col: str, id_col: str, num_perm: int, bands: int,
@@ -170,27 +205,22 @@ def _explode_bands_fn(text_col: str, id_col: str, num_perm: int, bands: int,
     return explode_bands
 
 
-def _bucket_pairs_fn(id_col: str, threshold: float, num_perm: int, max_bucket: int):
-    """Bucket kernel: band rows -> verified pairs, one candidate set per
-    ``(band_id, band_hash)`` run, so a whole exchange bucket is one call."""
+def _band_pairs(band_rows, id_col: str, threshold: float, num_perm: int,
+                max_bucket: int, chunk: int = 128):
+    """MinHash band rows -> pairs verified by the fraction of agreeing
+    signature slots, one candidate set per ``(band_hash, band_id)`` run."""
 
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["band_id", "band_hash"], kind="stable")
-        starts = np.flatnonzero(run_starts(g["band_id"].to_numpy())
-                                | run_starts(g["band_hash"].to_numpy()))
-        ends = np.append(starts[1:], len(g))
-        ids, sig = g[id_col].to_numpy(), g["sig"].to_numpy()
-        out = [(ids[:0], ids[:0], np.zeros(0))]
-        for lo, hi in zip(starts, ends):
-            if hi - lo > 1:
-                run = _pairs_from_bucket(ids[lo:hi], np.stack(sig[lo:hi]),
-                                         threshold, num_perm, max_bucket)
-                if len(run[0]):
-                    out.append(run)
-        a, b, s = (np.concatenate(c) for c in zip(*out))
-        return pd.DataFrame({"id_a": a, "id_b": b, "est_jaccard": s})
+    def score_run(run, ids):
+        sigs = np.stack(run["sig"].to_numpy(zero_copy_only=False))
 
-    return bucket_pairs
+        def score(r, c):
+            agree = (sigs[r, None, :] == sigs[None, c, :]).sum(axis=2) / num_perm
+            return agree >= threshold, agree
+
+        return _pair_kernel(ids, score, chunk)
+
+    return _pair_runs(band_rows, ["band_hash", "band_id"], id_col, max_bucket,
+                      "minhash_lsh", score_run, {"est_jaccard": np.float64})
 
 
 def minhash_lsh_dedup(
@@ -212,22 +242,22 @@ def minhash_lsh_dedup(
     collides in several bands appears once per colliding band.  Downstream
     consumers that are idempotent over repeats (connected components /
     keep-min dedup) should pass False and save a full shuffle."""
-    pairs = grouped_apply(
+    pairs = _band_pairs(
         ds.map_batches(
             _explode_bands_fn(text_col, id_col, num_perm, bands, k, seed),
             batch_format="pyarrow", zero_copy_batch=True,
-        ),
-        "band_hash", _bucket_pairs_fn(id_col, threshold, num_perm, max_bucket))
+        ), id_col, threshold, num_perm, max_bucket)
     if not distinct:
         return pairs
     # a pair can surface from several bands: keep one copy
     return _distinct_pairs(pairs)
 
 
-def _distinct_pairs(pairs, num_buckets: int = 64):
+def _distinct_pairs(pairs, num_buckets: int = 64, first: str | None = None):
     """Drop duplicate (id_a, id_b) pairs with a BUCKETED shuffle: group
     count is ``num_buckets``, not the pair count (a groupby on the pair
-    itself builds one pandas group per pair)."""
+    itself builds one pandas group per pair).  With ``first``, the copy
+    with the smallest ``first`` value is kept and that column dropped."""
 
     def tag(t: pa.Table) -> pa.Table:
         # pd.util.hash_array is id-type-generic (int AND string doc ids)
@@ -237,7 +267,10 @@ def _distinct_pairs(pairs, num_buckets: int = 64):
         return t.append_column(BUCKET_COL, pa.array(h.astype(np.int64)))
 
     def dedup_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        return g.drop_duplicates(["id_a", "id_b"])
+        if first is None:
+            return g.drop_duplicates(["id_a", "id_b"])
+        return (g.sort_values(first, kind="stable")
+                .drop_duplicates(["id_a", "id_b"]).drop(columns=first))
 
     return bucket_exchange(
         pairs.map_batches(tag, batch_format="pyarrow", zero_copy_batch=True),
@@ -433,41 +466,19 @@ def simhash_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
             }
         )
 
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) < 2:
-            return pd.DataFrame({"id_a": [], "id_b": [], "hamming": []})
-        g = g.sort_values(id_col, kind="mergesort")
-        ids = g[id_col].to_numpy()
-        hs = g["simhash"].to_numpy().astype(np.uint64)
-        sel = _cap_bucket(ids, max_bucket, "simhash")
-        ids, hs = ids[sel], hs[sel]
-        n = len(ids)
-        out_a, out_b, out_h = [], [], []
-        col_idx = np.arange(n)
-        chunk = 512
-        for s in range(0, n - 1, chunk):
-            e = min(s + chunk, n - 1)
-            # (c, n-s) pairwise hamming distances, block-vectorized
-            d = hamming64(hs[s:e, None], hs[None, s:])
-            upper = col_idx[None, s:] > col_idx[s:e, None]
-            ii, jj = np.nonzero((d <= max_hamming) & upper)
-            if len(ii):
-                gi, gj = ii + s, jj + s
-                neq = ids[gi] != ids[gj]
-                out_a.append(ids[gi][neq])
-                out_b.append(ids[gj][neq])
-                out_h.append(d[ii, jj][neq].astype(np.int64))
-        if not out_a:
-            return pd.DataFrame({"id_a": [], "id_b": [], "hamming": []})
-        return pd.DataFrame({"id_a": np.concatenate(out_a),
-                             "id_b": np.concatenate(out_b),
-                             "hamming": np.concatenate(out_h)})
+    def score_run(run, ids):
+        hs = run["simhash"].to_numpy().astype(np.uint64)
 
-    pairs = (
-        ds.map_batches(explode_chunks, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["chunk_id", "chunk"])
-        .map_groups(bucket_pairs, batch_format="pandas")
-    )
+        def score(r, c):
+            d = hamming64(hs[r, None], hs[None, c])
+            return d <= max_hamming, d
+
+        return _pair_kernel(ids, score, 512)
+
+    pairs = _pair_runs(
+        ds.map_batches(explode_chunks, batch_format="pyarrow", zero_copy_batch=True),
+        ["chunk", "chunk_id"], id_col, max_bucket, "simhash", score_run,
+        {"hamming": np.int64})
     if not distinct:
         return pairs
     return _distinct_pairs(pairs)
@@ -484,6 +495,32 @@ def _char_ngrams(s: str, n: int) -> set:
     return {s[i : i + n] for i in range(len(s) - n + 1)}
 
 
+def _overlap_scorer(text_col: str, tokens, measure, chunk: int):
+    """Scorer of the set-overlap miners: a docs x distinct-tokens 0/1
+    matrix per run (the vocabulary factorized per run), ``|A ∩ B|`` from
+    exact integer matmuls of a row chunk against the whole run, and
+    ``measure(inter, size_rows, size_cols) -> (hit, *values)``."""
+
+    def score_run(run, ids):
+        vocab: dict = {}
+        ri, ci = [], []
+        for i, s in enumerate(run[text_col].to_pylist()):
+            for tok in tokens(s):
+                ci.append(vocab.setdefault(tok, len(vocab)))
+                ri.append(i)
+        A = np.zeros((len(ids), len(vocab)), np.uint32)
+        A[ri, ci] = 1
+        sizes = A.sum(axis=1).astype(np.int64)
+
+        def score(r, c):
+            inter = (A[r] @ A[c].T).astype(np.int64)
+            return measure(inter, sizes[r, None], sizes[None, c])
+
+        return _pair_kernel(ids, score, chunk, whole=True)
+
+    return score_run
+
+
 def ngram_jaccard_pairs(ds, group_cols, text_col: str = "text", id_col: str = "doc_id",
                         n: int = 1, threshold: float = 0.0,
                         max_bucket: int = DEFAULT_MAX_BUCKET, chunk: int = 128):
@@ -491,61 +528,20 @@ def ngram_jaccard_pairs(ds, group_cols, text_col: str = "text", id_col: str = "d
     partition (co-partitioned candidate generation; n=1 matches DuckDB's
     ``jaccard`` character-set semantics for the SQL oracle).
 
-    Block-vectorized: each group builds a docs x distinct-grams presence
-    matrix (gram vocabulary factorized per group), pairwise intersections
-    come from CHUNKED matmuls (|A ∩ B| = a·b, |A ∪ B| = |a|+|b|-a·b) — no
-    Python set ops per pair.  Groups larger than ``max_bucket`` are capped
-    to their smallest ids with the dropped-pair count logged (the same
-    guard as the LSH miners): this is a verification op for co-partitioned
-    candidate groups, not a corpus-scale miner."""
-    if isinstance(group_cols, str):
-        group_cols = [group_cols]
+    |A ∩ B| = a·b comes from :func:`_overlap_scorer`'s chunked matmuls,
+    |A ∪ B| = |a|+|b|-a·b; the hot-group cap is the LSH miners'
+    (:func:`_pair_runs`).  A verification op for co-partitioned candidate
+    groups, not a corpus-scale miner."""
 
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(id_col, kind="mergesort")
-        ids = g[id_col].to_numpy()
-        sel = _cap_bucket(ids, max_bucket, "ngram_jaccard")
-        g = g.iloc[sel]
-        ids = ids[sel]
-        d = len(ids)
-        empty = pd.DataFrame({"id_a": [], "id_b": [], "jaccard": []})
-        if d < 2:
-            res = empty
-        else:
-            vocab: dict = {}
-            ri, ci = [], []
-            for i, s in enumerate(g[text_col]):
-                for gram in _char_ngrams(s, n):
-                    ci.append(vocab.setdefault(gram, len(vocab)))
-                    ri.append(i)
-            A = np.zeros((d, max(len(vocab), 1)), np.uint8)
-            if ri:
-                A[ri, ci] = 1
-            sizes = A.sum(axis=1).astype(np.int64)
-            At = A.astype(np.uint32)
-            out_a, out_b, out_j = [], [], []
-            col_idx = np.arange(d)
-            for s0 in range(0, d - 1, chunk):
-                e0 = min(s0 + chunk, d - 1)
-                inter = (At[s0:e0] @ At.T).astype(np.int64)  # (c, d)
-                union = sizes[s0:e0, None] + sizes[None, :] - inter
-                jac = np.where(union > 0, inter / np.maximum(union, 1), 1.0)
-                upper = col_idx[None, :] > col_idx[s0:e0, None]
-                ii, jj = np.nonzero((jac >= threshold) & upper)
-                if len(ii):
-                    out_a.append(ids[ii + s0])
-                    out_b.append(ids[jj])
-                    out_j.append(jac[ii, jj])
-            res = (pd.DataFrame({
-                "id_a": np.concatenate(out_a),
-                "id_b": np.concatenate(out_b),
-                "jaccard": np.concatenate(out_j),
-            }) if out_a else empty)
-        for c in group_cols:
-            res[c] = g[c].iloc[0] if len(g) else None
-        return res
+    def measure(inter, size_a, size_b):
+        union = size_a + size_b - inter
+        jac = np.where(union > 0, inter / np.maximum(union, 1), 1.0)
+        return jac >= threshold, jac
 
-    return ds.groupby(group_cols).map_groups(pairs, batch_format="pandas")
+    return _group_pairs(
+        ds, group_cols, id_col, text_col, max_bucket, "ngram_jaccard",
+        _overlap_scorer(text_col, lambda s: _char_ngrams(s, n), measure, chunk),
+        {"jaccard": np.float64})
 
 
 def containment_pairs(ds, group_cols, text_col: str = "text",
@@ -562,64 +558,21 @@ def containment_pairs(ds, group_cols, text_col: str = "text",
     id_a < id_b.  Tokens are ``text.split(" ")`` distinct sets (DuckDB
     ``string_split`` semantics, empty tokens included) so the SQL twin is
     bit-exact: identical integer operands divide to identical float64 on
-    both sides.
+    both sides.  That holds for unique ids: rows sharing an id pair with
+    nothing here (as in every pair miner), while the twin's ``SELECT
+    DISTINCT id, ...`` merges them into one word set.
 
-    Scale shape: same as :func:`ngram_jaccard_pairs` — co-partitioned
-    candidate groups, per-group docs x distinct-words presence matrix,
-    chunked matmul intersections, the hot-group cap with logged drops;
-    a verification op for co-partitioned groups, not a corpus miner."""
-    if isinstance(group_cols, str):
-        group_cols = [group_cols]
+    Scale shape: that of :func:`ngram_jaccard_pairs`, over word sets."""
 
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(id_col, kind="mergesort")
-        ids = g[id_col].to_numpy()
-        sel = _cap_bucket(ids, max_bucket, "containment")
-        g = g.iloc[sel]
-        ids = ids[sel]
-        d = len(ids)
-        empty = pd.DataFrame({"id_a": [], "id_b": [],
-                              "cont_a": [], "cont_b": []})
-        if d < 2:
-            res = empty
-        else:
-            vocab: dict = {}
-            ri, ci = [], []
-            for i, s in enumerate(g[text_col]):
-                for w in set(s.split(" ")):
-                    ci.append(vocab.setdefault(w, len(vocab)))
-                    ri.append(i)
-            A = np.zeros((d, max(len(vocab), 1)), np.uint8)
-            if ri:
-                A[ri, ci] = 1
-            sizes = A.sum(axis=1).astype(np.int64)
-            At = A.astype(np.uint32)
-            out_a, out_b, out_ca, out_cb = [], [], [], []
-            col_idx = np.arange(d)
-            for s0 in range(0, d - 1, chunk):
-                e0 = min(s0 + chunk, d - 1)
-                inter = (At[s0:e0] @ At.T).astype(np.int64)  # (c, d)
-                ca = inter / np.maximum(sizes[s0:e0, None], 1)
-                cb = inter / np.maximum(sizes[None, :], 1)
-                upper = col_idx[None, :] > col_idx[s0:e0, None]
-                keep = (np.maximum(ca, cb) >= threshold) & upper
-                ii, jj = np.nonzero(keep)
-                if len(ii):
-                    out_a.append(ids[ii + s0])
-                    out_b.append(ids[jj])
-                    out_ca.append(ca[ii, jj])
-                    out_cb.append(cb[ii, jj])
-            res = (pd.DataFrame({
-                "id_a": np.concatenate(out_a),
-                "id_b": np.concatenate(out_b),
-                "cont_a": np.concatenate(out_ca),
-                "cont_b": np.concatenate(out_cb),
-            }) if out_a else empty)
-        for c in group_cols:
-            res[c] = g[c].iloc[0] if len(g) else None
-        return res
+    def measure(inter, size_a, size_b):
+        ca = inter / np.maximum(size_a, 1)
+        cb = inter / np.maximum(size_b, 1)
+        return np.maximum(ca, cb) >= threshold, ca, cb
 
-    return ds.groupby(group_cols).map_groups(pairs, batch_format="pandas")
+    return _group_pairs(
+        ds, group_cols, id_col, text_col, max_bucket, "containment",
+        _overlap_scorer(text_col, lambda s: s.split(" "), measure, chunk),
+        {"cont_a": np.float64, "cont_b": np.float64})
 
 
 def containment_pairs_sql(table: str, group_col: str, text_col: str = "text",
@@ -656,14 +609,12 @@ def embedding_dedup(ds, emb_col: str = "embedding", id_col: str = "vec_id",
 
     Random-hyperplane LSH: bucket = sign pattern of n_planes projections
     (similar vectors collide with high probability), exact cosine verify
-    via CHUNKED matmuls per bucket (bounded memory even for a degenerate
-    bucket) with the hot-bucket cap applied (all-identical embeddings land
-    in one bucket; uncapped that is an O(k^2) similarity matrix on one
-    reducer).  Raise n_planes for bigger corpora; ``n_tables`` > 1 trades
-    work for RECALL: each table is an independent plane set (seeded
-    seed+t), rows explode to one bucket row per table, and a pair
-    survives if it collides in ANY table (duplicate emissions removed
-    with the bucketed distinct shuffle)."""
+    via chunked matmuls per bucket under the hot-bucket cap (all-identical
+    embeddings share one bucket).  Raise n_planes for bigger corpora;
+    ``n_tables`` > 1 trades work for RECALL: each table is an independent
+    plane set (seeded seed+t), rows explode to one bucket row per table,
+    and a pair survives if it collides in ANY table (duplicate emissions
+    removed with the bucketed distinct shuffle)."""
 
     state = {}
 
@@ -699,45 +650,24 @@ def embedding_dedup(ds, emb_col: str = "embedding", id_col: str = "vec_id",
             }
         )
 
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        if len(g) < 2:
-            return pd.DataFrame({"id_a": [], "id_b": [], "cosine": []})
-        g = g.sort_values(id_col, kind="mergesort")
-        ids = g[id_col].to_numpy()
-        u = np.stack(g["unit"].to_numpy())
-        sel = _cap_bucket(ids, max_bucket, "embedding_lsh")
-        ids, u = ids[sel], u[sel]
-        n = len(ids)
-        out_a, out_b, out_c = [], [], []
-        col_idx = np.arange(n)
-        chunk = 1024
-        for s in range(0, n - 1, chunk):
-            e = min(s + chunk, n - 1)
-            sim = u[s:e] @ u.T  # (c, n) bounded by chunk * max_bucket
-            upper = col_idx[None, :] > col_idx[s:e, None]
-            ii, jj = np.nonzero((sim >= threshold) & upper)
-            if len(ii):
-                out_a.append(ids[ii + s])
-                out_b.append(ids[jj])
-                out_c.append(sim[ii, jj].astype(float))
-        if not out_a:
-            return pd.DataFrame({"id_a": [], "id_b": [], "cosine": []})
-        return pd.DataFrame(
-            {
-                "id_a": np.concatenate(out_a),
-                "id_b": np.concatenate(out_b),
-                "cosine": np.concatenate(out_c),
-            }
-        )
+    def score_run(run, ids):
+        u = np.stack(run["unit"].to_numpy(zero_copy_only=False))
 
-    pairs = (
-        ds.map_batches(bucketize, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby(["table_id", "bucket"])
-        .map_groups(bucket_pairs, batch_format="pandas")
-    )
+        def score(r, c):
+            sim = u[r] @ u[c].T  # (c, n) bounded by chunk * max_bucket
+            return sim >= threshold, sim
+
+        return _pair_kernel(ids, score, 1024, whole=True)
+
+    # a pair repeats once per colliding table: keep the lowest table's
+    # copy (a differently shaped matmul may round its last bit apart)
+    pairs = _pair_runs(
+        ds.map_batches(bucketize, batch_format="pyarrow", zero_copy_batch=True),
+        ["bucket", "table_id"], id_col, max_bucket, "embedding_lsh", score_run,
+        {"cosine": np.float64}, ["table_id"] if n_tables > 1 else [])
     if n_tables == 1:
         return pairs
-    return _distinct_pairs(pairs)
+    return _distinct_pairs(pairs, first="table_id")
 
 
 @ray.remote(num_cpus=0)
@@ -933,52 +863,32 @@ def edit_distance_pairs(ds, group_cols, text_col: str = "text",
     ``substring(...)``, which is what the twin computes.  ``max_dist`` keeps only pairs at or under the
     threshold; None emits every pair with its distance.
 
-    The DP is pair-vectorized (:func:`_lev_block`): cost is
-    O(la * lb) numpy sweeps over ``chunk`` pairs at a time, never a
-    Python loop per pair.  Groups larger than ``max_bucket`` are capped
-    to their smallest ids with the dropped-pair count logged — this is a
-    verification op for candidate groups, not a corpus-scale miner."""
-    if isinstance(group_cols, str):
-        group_cols = [group_cols]
+    The DP is pair-vectorized (:func:`_lev_block`): O(la * lb) numpy
+    sweeps over about ``chunk`` pairs at a time; the hot-group cap is the
+    LSH miners' (:func:`_pair_runs`).  A verification op for candidate
+    groups, not a corpus-scale miner."""
+    limit = np.inf if max_dist is None else max_dist
 
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        g = g[g[text_col].notna()].sort_values(id_col, kind="mergesort")
-        ids = g[id_col].to_numpy()
-        sel = _cap_bucket(ids, max_bucket, "edit_distance")
-        g = g.iloc[sel]
-        ids = ids[sel]
-        k = len(ids)
-        empty = pd.DataFrame({"id_a": pd.Series([], dtype=ids.dtype),
-                              "id_b": pd.Series([], dtype=ids.dtype),
-                              "dist": pd.Series([], dtype="int64")})
-        if k < 2:
-            res = empty
-        else:
-            codes, lens = _char_codes(list(g[text_col]), max_len)
-            ii, jj = np.triu_indices(k, 1)
-            out_a, out_b, out_d = [], [], []
-            for s0 in range(0, len(ii), chunk):
-                ic, jc = ii[s0:s0 + chunk], jj[s0:s0 + chunk]
-                d = _lev_block(codes[ic], lens[ic], codes[jc], lens[jc])
-                keep = d <= max_dist if max_dist is not None \
-                    else np.ones(len(d), np.bool_)
-                # the SQL twin's id_a < id_b join emits nothing for rows
-                # sharing an id — mirror that for non-unique id columns
-                keep &= ids[ic] != ids[jc]
-                if keep.any():
-                    out_a.append(ids[ic[keep]])
-                    out_b.append(ids[jc[keep]])
-                    out_d.append(d[keep])
-            res = (pd.DataFrame({
-                "id_a": np.concatenate(out_a),
-                "id_b": np.concatenate(out_b),
-                "dist": np.concatenate(out_d),
-            }) if out_a else empty)
-        for c in group_cols:
-            res[c] = g[c].iloc[0] if len(g) else None
-        return res
+    def score_run(run, ids):
+        codes, lens = _char_codes(run[text_col].to_pylist(), max_len)
+        n = len(ids)
 
-    return ds.groupby(group_cols).map_groups(pairs, batch_format="pandas")
+        def score(r, c):
+            ii, jj = np.nonzero(np.arange(c.start, n)
+                                > np.arange(r.start, r.stop)[:, None])
+            d = np.zeros((r.stop - r.start, n - c.start), np.int64)
+            d[ii, jj] = _lev_block(codes[ii + r.start], lens[ii + r.start],
+                                   codes[jj + c.start], lens[jj + c.start])
+            return d <= limit, d
+
+        # row chunks of about ``chunk`` pairs per sweep on average
+        return _pair_kernel(ids, score, max(1, 2 * chunk // n))
+
+    return _group_pairs(
+        ds.map_batches(lambda t: t.filter(pc.is_valid(t[text_col])),
+                       batch_format="pyarrow", zero_copy_batch=True),
+        group_cols, id_col, text_col, max_bucket, "edit_distance", score_run,
+        {"dist": np.int64})
 
 
 def edit_distance_pairs_sql(table: str, group_cols, text_col: str = "text",

@@ -55,6 +55,7 @@ import pyarrow.parquet as pq
 from logray.functions.fingerprint import content_hash128
 from logray.functions.indexbase import (META_NAME, read_meta, shard_files,
                                         total_index_rows, write_meta)
+from logray.stages.bucketing import BUCKET_COL, bucket_exchange
 
 __all__ = ["build_hash_index", "dedup_against_index", "index_verdicts"]
 
@@ -189,7 +190,7 @@ def index_verdicts(ds, index_dir: str, text_col: str = "text",
                      (h1 % np.uint64(num_shards)).astype(np.int64), -1)
         return pa.table({
             id_col: t[id_col], "h1": pa.array(h1), "h2": pa.array(h2),
-            "__s": pa.array(s),
+            "__s": pa.array(s), BUCKET_COL: pa.array(s),
         })
 
     narrow = ds.select_columns([id_col, text_col]).map_batches(
@@ -205,8 +206,8 @@ def index_verdicts(ds, index_dir: str, text_col: str = "text",
                           g["h2"].to_numpy().astype(np.uint64), idx1, idx2)
         return pd.DataFrame({id_col: g[id_col], "seen": seen})
 
-    return narrow.groupby("__s").map_groups(per_shard,
-                                            batch_format="pandas")
+    # one fn call per shard: its id is the bucket id, and ``__s`` for fn
+    return bucket_exchange(narrow, per_shard)
 
 
 def dedup_against_index(ds, index_dir: str, text_col: str = "text",

@@ -12,7 +12,7 @@ its own partition axis:
 2. **pairs** — per BAND: band rows for one band (selected at the PATH
    level via the ``band_id=<b>/`` hive directories — band rows are
    written doc-major, so a row filter could never prune) go through one
-   ``grouped_apply`` on band_hash; each band_hash run emits
+   bucket exchange on band_hash; each band_hash run emits
    signature-verified candidate pairs (hot-bucket cap applies).  Bands
    are independent, so each is a resumable partition of the only wide
    shuffle.  Phases 1+2 are one
@@ -40,12 +40,11 @@ import pyarrow.parquet as pq
 
 from logray.functions.dedup import (
     DEFAULT_MAX_BUCKET,
-    _bucket_pairs_fn,
+    _band_pairs,
     _explode_bands_fn,
     connected_components,
     connected_components_distributed,
 )
-from logray.stages.bucketing import grouped_apply
 from logray.state.manifest import (check_run_config, committed_files,
                                    map_phase, resumable_exchange,
                                    run_resumable)
@@ -88,12 +87,11 @@ def near_dedup_resumable(
 
     # --- phases 1+2: band rows per input file, pairs per band --------------
     explode = _explode_bands_fn(text_col, id_col, num_perm, bands, k, seed)
-    bucket_pairs = _bucket_pairs_fn(id_col, threshold, num_perm, max_bucket)
 
     def band_pairs(files, pdir):
         if files:
-            grouped_apply(rd.read_parquet(files), "band_hash",
-                          bucket_pairs).write_parquet(pdir)
+            _band_pairs(rd.read_parquet(files), id_col, threshold, num_perm,
+                        max_bucket).write_parquet(pdir)
         return {}
 
     _, pairs_dir = resumable_exchange(

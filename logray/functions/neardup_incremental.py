@@ -47,6 +47,7 @@ import pyarrow.parquet as pq
 from logray.functions.fingerprint import band_hashes, minhash_signatures
 from logray.functions.indexbase import (META_NAME, read_meta, shard_files,
                                         total_index_rows, write_meta)
+from logray.stages.bucketing import BUCKET_COL, bucket_exchange
 
 __all__ = ["build_band_index", "near_dup_ids_against_index",
            "dedup_near_against_index"]
@@ -184,7 +185,7 @@ def near_dup_ids_against_index(ds, index_dir: str, text_col: str = "text",
         return pa.table({id_col: pa.array(np.repeat(ids, bands)),
                          "band_id": pa.array(band),
                          "band_hash": pa.array(h),
-                         "__g": pa.array(g)})
+                         "__g": pa.array(g), BUCKET_COL: pa.array(g)})
 
     narrow = ds.select_columns([id_col, text_col]).map_batches(
         explode, batch_format="pyarrow", zero_copy_batch=True,
@@ -198,8 +199,8 @@ def near_dup_ids_against_index(ds, index_dir: str, text_col: str = "text",
                            idx[b])
         return pd.DataFrame({id_col: gdf[id_col].to_numpy()[hit]})
 
-    return narrow.groupby("__g").map_groups(per_shard,
-                                            batch_format="pandas")
+    # one fn call per shard: its id is the bucket id, and ``__g`` for fn
+    return bucket_exchange(narrow, per_shard)
 
 
 def dedup_near_against_index(ds, index_dir: str, text_col: str = "text",

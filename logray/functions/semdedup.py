@@ -12,8 +12,9 @@ Scale shape:
   :func:`~logray.functions.cluster.kmeans_fit` (one ``map_batches`` pass
   per iteration, tiny partials, no shuffle);
 - assignment is one per-batch integer matmul fused into the read;
-- the ONLY wide operation is one ``groupby(cluster)`` shuffle of the
-  narrow ``(id, embedding, cluster)`` projection; each cluster folds with
+- the ONLY wide operation is one bucket exchange of the narrow
+  ``(id, embedding, cluster)`` projection with the cluster id as bucket
+  id; each cluster folds with
   chunked matmuls (bounded memory even for a degenerate cluster) under
   the shared hot-bucket cap (overflow rows are kept un-deduped and the
   skipped-pair count is logged — no silent drops);
@@ -43,6 +44,7 @@ import pyarrow as pa
 from logray.functions.ann import _unit
 from logray.functions.cluster import kmeans_assign, kmeans_fit
 from logray.functions.dedup import DEFAULT_MAX_BUCKET, _broadcast_id_filter, _cap_bucket
+from logray.stages.bucketing import BUCKET_COL, bucket_exchange
 
 __all__ = ["semdedup_verdicts", "semdedup_keep"]
 
@@ -78,8 +80,7 @@ def _cluster_verdict_fn(id_col: str, emb_col: str, eps: float, keep: str,
             cent_sim = _unit(emb) @ cent_unit[c]
             order = np.lexsort((ids, cent_sim))  # atypical first, id ties
             ids, emb = ids[order], emb[order]
-        sel = _cap_bucket(ids, max_cluster, "semdedup")
-        head = len(ids[sel])
+        head = _cap_bucket(len(ids), max_cluster, "semdedup")
         u = _unit(emb[:head])
         kept = np.ones(len(ids), bool)  # overflow tail stays kept
         max_sim = np.zeros(len(ids), np.float64)
@@ -123,10 +124,12 @@ def semdedup_verdicts(ds, k: int = 16, emb_col: str = "embedding",
     if centroids is None:
         centroids, _ = kmeans_fit(narrow, k, emb_col=emb_col, id_col=id_col,
                                   iters=iters, seed=seed)
-    tagged = kmeans_assign(narrow, centroids, emb_col=emb_col)
-    fn = _cluster_verdict_fn(id_col, emb_col, eps, keep, centroids,
-                             max_cluster)
-    return tagged.groupby("cluster").map_groups(fn, batch_format="pandas")
+    # the cluster id is the bucket id: one fn call per cluster
+    tagged = kmeans_assign(narrow, centroids, emb_col=emb_col).map_batches(
+        lambda t: t.append_column(BUCKET_COL, t["cluster"]),
+        batch_format="pyarrow", zero_copy_batch=True)
+    return bucket_exchange(tagged, _cluster_verdict_fn(
+        id_col, emb_col, eps, keep, centroids, max_cluster))
 
 
 def semdedup_keep(ds, k: int = 16, emb_col: str = "embedding",

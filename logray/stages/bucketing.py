@@ -6,10 +6,14 @@
   a change to the partitioning hash reaches every operator at once.
 - :func:`bucket_exchange` — the ONE bucket shuffle: co-locate the rows of
   each :data:`BUCKET_COL` value and call ``fn`` once per bucket, with the
-  tag column already stripped.  Every hash-bucket shuffle in logray runs
-  through it (:func:`grouped_apply` is tagger + exchange; operators with
-  their own bucket id write :data:`BUCKET_COL` and call it directly), so
-  the shuffle strategy is set here and nowhere else.  It is a split ->
+  tag column already stripped.  Every keyed shuffle in logray runs
+  through it, none through Ray's ``groupby().map_groups``
+  (:func:`grouped_apply` is tagger + exchange; operators with their own
+  bucket or shard id write :data:`BUCKET_COL`, keeping it in a plain
+  column if ``fn`` reads it, and call it directly), so the shuffle
+  strategy is set here and nowhere else.  Per-key kernels walk their
+  bucket's key runs (:func:`run_starts`); the pair miners' per-run
+  driver ``dedup._pair_runs`` is the pattern.  It is a split ->
   reduce on plain Ray tasks (no Ray ``groupby`` sort), its reduce-task
   count set by the one sizing rule :func:`reduce_tasks`, and it is
   EAGER: the input runs when the exchange is called.
@@ -340,7 +344,9 @@ def grouped_apply(ds, key_cols, fn, num_buckets: int = 32,
     scale).  ``fn`` sees the input columns only, never the bucket tag,
     and must handle multiple keys per frame; pair it with
     :func:`run_starts` (or ``windowfn._sorted_runs``) for vectorized
-    segmented kernels.  Null keys pool into bucket 0.  Multi-column keys
+    segmented kernels; a kernel that must run per KEY loops over those
+    runs, as ``dedup._pair_runs`` (the pair miners' per-run driver) does.
+    Null keys pool into bucket 0.  Multi-column keys
     tag on the FIRST column (same-first-column keys co-locate; fn still
     groups exactly).  A per-batch pre-step (a combiner such as a local
     dedup or top-k prune) goes in as ``grouped_apply(ds.map_batches(pre),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +44,18 @@ def _events(seed: int = 11, n: int = 180) -> pd.DataFrame:
     })
 
 
+def _embeddings(seed: int = 5, n: int = 90) -> pd.DataFrame:
+    """Seeded float32 embeddings around six centres (near-duplicate
+    clusters), under unique ids in shuffled order."""
+    rng = np.random.default_rng(seed)
+    centres = rng.standard_normal((6, 8))
+    emb = centres[rng.integers(0, 6, n)] + rng.standard_normal((n, 8)) * 0.05
+    return pd.DataFrame({
+        "vec_id": rng.permutation(1000)[:n].astype(np.int64),
+        "embedding": list(emb.astype(np.float32)),
+    })
+
+
 def _ds(df: pd.DataFrame, blocks: int = 4):
     import ray.data as rd
 
@@ -51,9 +64,17 @@ def _ds(df: pd.DataFrame, blocks: int = 4):
 
 
 def _run(case: str):
-    from logray.functions.dedup import _distinct_pairs, exact_dedup
+    from logray.functions.dedup import (_distinct_pairs, containment_pairs,
+                                        edit_distance_pairs, embedding_dedup,
+                                        exact_dedup, minhash_lsh_dedup,
+                                        ngram_jaccard_pairs, simhash_dedup)
+    from logray.functions.dedup_incremental import (build_hash_index,
+                                                    index_verdicts)
     from logray.functions.linededup import dedup_lines
+    from logray.functions.neardup_incremental import (
+        build_band_index, near_dup_ids_against_index)
     from logray.functions.sample import reservoir_per_key
+    from logray.functions.semdedup import semdedup_verdicts
     from logray.sources.transcripts import assign_turn_idx
     from logray.stages.aggregate import grouped_quantiles, topk_per_key
     from logray.stages.join import (_bucketed_join, _bucketed_join_pandas,
@@ -112,6 +133,52 @@ def _run(case: str):
         pairs = pd.DataFrame({"id_a": df["event_id"] % 7,
                               "id_b": df["turn_idx"] % 5})
         return _distinct_pairs(_ds(pairs), num_buckets=B)
+    if case.startswith("embedding_dedup"):
+        return embedding_dedup(_ds(_embeddings()), threshold=0.9, n_planes=3,
+                               max_bucket=12, n_tables=int(case[-1]))
+    if case == "semdedup_verdicts":
+        return semdedup_verdicts(_ds(_embeddings()), k=3, eps=0.95, iters=4,
+                                 keep="far_from_centroid", max_cluster=12)
+    # conv as an int key with nulls: Ray's sort groupby could not order a
+    # null among strings, and the pinned outputs were taken on it
+    docs = df.assign(text=df["text"].str.replace("\n", " "),
+                     conv=pd.array(df[k].map({"hot": 0, "a": 1, "b": 2})
+                                   .to_numpy(), dtype="Int64"))
+    if case == "minhash_lsh_dedup":
+        return minhash_lsh_dedup(_ds(docs[["event_id", "text"]]),
+                                 id_col="event_id", num_perm=16, bands=8, k=3,
+                                 threshold=0.5, max_bucket=20)
+    if case == "simhash_dedup":
+        return simhash_dedup(_ds(docs[["event_id", "text"]]),
+                             id_col="event_id", max_bucket=20)
+    # a two-column group key with nulls, and runs past max_bucket; compared
+    # as nullable Int64: the Ray groupby these were pinned on typed the
+    # null key's block as null and the others as int64
+    kw = dict(group_cols=["conv", "val"], id_col="event_id", max_bucket=8)
+    miners = {
+        "ngram_jaccard_pairs": lambda: ngram_jaccard_pairs(
+            _ds(docs), n=2, threshold=0.3, chunk=3, **kw),
+        "containment_pairs": lambda: containment_pairs(
+            _ds(docs), threshold=0.5, chunk=3, **kw),
+        "edit_distance_pairs": lambda: edit_distance_pairs(
+            _ds(docs), max_dist=9, chunk=7, **kw),
+    }
+    if case in miners:
+        return miners[case]().to_pandas().astype({"conv": "Int64"})
+    if case in ("index_verdicts", "near_dup_ids_against_index"):
+        # every other doc indexed; every doc probed, a few with null text
+        probe = df[["event_id", "text"]].copy()
+        probe.loc[probe["event_id"] % 17 == 0, "text"] = None
+        with tempfile.TemporaryDirectory() as idx:
+            if case == "index_verdicts":
+                build_hash_index(_ds(df.iloc[::2]), idx, num_shards=4)
+                out = index_verdicts(_ds(probe), idx, id_col="event_id",
+                                     mode="sharded")
+            else:
+                build_band_index(_ds(df.iloc[::2]), idx, num_shards=4)
+                out = near_dup_ids_against_index(
+                    _ds(probe), idx, id_col="event_id", mode="sharded")
+            return out.materialize()
     if case.startswith("dedup_lines"):
         docs = ds.select_columns(["event_id", "text"])
         return dedup_lines(docs, id_col="event_id", num_buckets=B,
@@ -140,22 +207,37 @@ def _digest(out) -> str:
     return h.hexdigest()[:16]
 
 
-_GOLDEN = {  # computed on the code before the exchange was shared
+# Null-key note: Ray's sort groupby, which these three ran on before
+# the exchange, sometimes split the null key's rows into several groups
+# (capped one by one, some pairs emitted twice), so its digest varied
+# from run to run; the pinned one is its run with the null key as one
+# group, the SQL GROUP BY reading that run_starts gives every run.
+_GOLDEN = {  # computed on the code before the operator moved onto the exchange
     "asof_join": "a43666f713958d32",
     "assign_turn_idx": "e14ad83480e28483",
     "bucketed_join_arrow": "5d9585cbf26f5c46",
     "bucketed_join_pandas": "57c5a9c0b4e8d246",
+    "containment_pairs": "eb222f69159d205a",  # see the null-key note above
     "dedup_lines-dense": "38d048146b531e8d",
     "dedup_lines-sparse": "38d048146b531e8d",
     "distinct_pairs": "5b67708e4e29def8",
+    "edit_distance_pairs": "eaca4962ad43cbaf",  # see the null-key note above
+    "embedding_dedup-1": "95a7273ed8cf5feb",
+    "embedding_dedup-2": "1f8be7d78151ed42",
     "exact_dedup": "988134edbe6ce99e",
     "except_distinct": "d6148dce0e9d014b",
     "fold_dialogues": "7e2e15f5c475f24a",
     "grouped_quantiles": "55bdd9bfc2562a1f",
+    "index_verdicts": "c29a7180868e0333",
     "lag_lead": "26a79c987be2da5c",
+    "minhash_lsh_dedup": "81ca8cca6df62351",
+    "near_dup_ids_against_index": "0d047cd2813df8b2",
+    "ngram_jaccard_pairs": "c3a3a20e6e547790",  # see the null-key note above
     "reservoir_per_key": "3c778759f7e33e88",
     "rolling_agg": "252366f0510ecd7d",
+    "semdedup_verdicts": "a867e8d7a4eefe40",
     "sessionize": "83979eacf9b203f5",
+    "simhash_dedup": "f7232ba0c294538d",
     "topk_per_key": "2fc0175bdcb62acd",
     "transition_counts": "24c90bb26e4b2adf",
     "turn_context": "4a484239f20aff6b",
@@ -167,34 +249,23 @@ def test_exchange_outputs_pinned(ray_session, case):
     assert _digest(_run(case)) == _GOLDEN[case]
 
 
-# A shard-id groupby is not a bucket exchange: the per-shard fn reads the
-# shard id (it names the shard's state file), which the exchange strips.
-_SHARD_ID_SITES = {
-    "functions/dedup_incremental.py",     # groupby("__s")
-    "functions/neardup_incremental.py",   # groupby("__g")
-}
-
-
 def test_bucket_exchange_lives_in_bucketing():
     """No module but stages/bucketing.py groups on a ``__``-prefixed tag
-    column: every bucket shuffle goes through ``bucket_exchange``, so
-    how the exchange runs is set in one place.  The checkpointed
-    modules run no per-key Dataset ``groupby(...).map_groups`` either:
-    their shuffles go through ``grouped_apply``."""
+    column, and no module runs a keyed Dataset ``groupby(...).map_groups``:
+    every bucket shuffle goes through ``bucket_exchange`` (sites with a
+    shard id write it to ``BUCKET_COL``), so how the exchange runs is set
+    in one place."""
     root = Path(__file__).resolve().parents[1] / "logray"
     tag_groupby = re.compile(r"\.groupby\(\s*(?:[\"']__|BUCKET_COL\b)")
-    offenders = sorted(
-        rel for p in root.rglob("*.py")
-        if (rel := p.relative_to(root).as_posix()) not in
-        {"stages/bucketing.py", *_SHARD_ID_SITES}
-        and tag_groupby.search(p.read_text()))
-    assert offenders == []
     keyed_groupby = re.compile(r"\.groupby\((?:[^()]|\([^()]*\))*\)\s*\.map_groups\(")
-    resumable = [*root.glob("functions/*_resumable.py"),
-                 root / "functions" / "shards.py", root / "state" / "manifest.py"]
-    assert len(resumable) >= 5
-    assert sorted(p.relative_to(root).as_posix() for p in resumable
-                  if keyed_groupby.search(p.read_text())) == []
+    modules = {p.relative_to(root).as_posix(): p.read_text()
+               for p in root.rglob("*.py")}
+    assert len(modules) >= 40
+    assert sorted(rel for rel, src in modules.items()
+                  if rel != "stages/bucketing.py"
+                  and tag_groupby.search(src)) == []
+    assert sorted(rel for rel, src in modules.items()
+                  if keyed_groupby.search(src)) == []
 
 
 def test_exchange_runs_on_plain_tasks():

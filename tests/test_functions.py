@@ -523,8 +523,10 @@ def test_cc_distributed_chain_pointer_doubling(ray_session):
         connected_components_distributed(pairs, max_rounds=1)
 
 
-def test_pairs_from_bucket_vectorized_matches_naive():
-    from logray.functions.dedup import _pairs_from_bucket
+def test_pairs_from_bucket_vectorized_matches_naive(ray_session):
+    import ray.data as rd
+
+    from logray.functions.dedup import DEFAULT_MAX_BUCKET, _band_pairs
 
     rng = np.random.default_rng(7)
     num_perm = 16
@@ -533,7 +535,12 @@ def test_pairs_from_bucket_vectorized_matches_naive():
     sigs = rng.integers(0, 4, size=(n, num_perm)).astype(np.uint64)
     ids = rng.permutation(n).astype(np.int64)
 
-    a, b, s = _pairs_from_bucket(ids.copy(), sigs.copy(), 0.7, num_perm, chunk=37)
+    # one (band_hash, band_id) run: the per-run driver on the MinHash scorer
+    out = _band_pairs(rd.from_arrow(pa.table({
+        "band_id": np.zeros(n, np.int32), "band_hash": np.zeros(n, np.int64),
+        "doc_id": ids, "sig": list(sigs)})), "doc_id", 0.7, num_perm,
+        DEFAULT_MAX_BUCKET, chunk=37).to_pandas()
+    a, b, s = (out[c].to_numpy() for c in ("id_a", "id_b", "est_jaccard"))
 
     order = np.argsort(ids, kind="stable")
     sids, ssigs = ids[order], sigs[order]
@@ -2540,6 +2547,35 @@ def test_edit_distance_pairs_bytes_and_duplicate_ids(ray_session):
     d12 = got[(got.id_a == 1) & (got.id_b == 2)]["dist"].tolist()
     assert d12 == [2]  # byte-level: e-acute <-> e is delete+substitute
     assert not ((got.id_a == 3) & (got.id_b == 3)).any()
+
+
+def test_ngram_jaccard_pairs_duplicate_ids_match_duckdb(ray_session):
+    import duckdb
+    import ray.data as rd
+
+    from logray.functions.dedup import ngram_jaccard_pairs
+
+    # a repeated id pairs with nothing, as the twin's a.id < b.id join
+    df = pd.DataFrame({
+        "doc_id": [1, 1, 2, 3, 4, 4],
+        "grp": [0, 0, 0, 0, 1, 1],
+        "text": ["abcd", "abcd", "abce", "wxyz", "same", "same"],
+    })
+    got = (
+        ngram_jaccard_pairs(rd.from_pandas(df), "grp", n=1)
+        .to_pandas().sort_values(["id_a", "id_b", "jaccard"])
+        .reset_index(drop=True)
+    )
+    con = duckdb.connect()
+    con.register("t", df)
+    want = con.sql(
+        "SELECT a.doc_id AS id_a, b.doc_id AS id_b, "
+        "jaccard(a.text, b.text) AS jaccard FROM t a JOIN t b "
+        "ON a.grp = b.grp AND a.doc_id < b.doc_id "
+        "ORDER BY id_a, id_b, jaccard"
+    ).df()
+    pd.testing.assert_frame_equal(got[["id_a", "id_b", "jaccard"]], want)
+    assert not (got.id_a == got.id_b).any()
 
 
 def test_dedup_spans_all_short_corpus_is_identity(ray_session):
