@@ -356,12 +356,14 @@ def hash_pairs_to_int64(pairs, id_a: str = "id_a", id_b: str = "id_b",
 
 
 def _broadcast_id_filter(ds, ids_ref, id_col: str, keep_members: bool,
-                         select_cols=None):
+                         select_cols=None, probe=None):
     """Shared broadcast id-set filter behind the dedup keep policies:
     ``keep_members=False`` DROPS the listed ids (keep-min / keep-best
     output), ``True`` KEEPS only them (the pruned score-fetch pass).
-    The set ships once via ``ray.put``; each actor casts it to the id
-    column's type once and applies one vectorized ``is_in`` per batch."""
+    The set ships once via ``ray.put``; each actor casts it to the probed
+    column's type once and applies one vectorized ``is_in`` per batch.
+    ``probe(column) -> Array`` replaces the id column as the probed
+    values (e.g. the int64 hashes of string ids)."""
 
     class IdFilter:
         def __init__(self, ref):
@@ -370,11 +372,12 @@ def _broadcast_id_filter(ds, ids_ref, id_col: str, keep_members: bool,
             self._cast_set = None
 
         def __call__(self, t: pa.Table) -> pa.Table:
+            ids = t[id_col] if probe is None else probe(t[id_col])
             if self._cast_set is None:
-                self._cast_set = (self.id_set.cast(t[id_col].type)
+                self._cast_set = (self.id_set.cast(ids.type)
                                   if len(self.id_set) else
-                                  pa.array([], t[id_col].type))
-            hit = pc.is_in(t[id_col], value_set=self._cast_set)
+                                  pa.array([], ids.type))
+            hit = pc.is_in(ids, value_set=self._cast_set)
             if keep_members:
                 t = t.filter(pc.fill_null(hit, False))
                 return t.select(select_cols) if select_cols else t
@@ -397,9 +400,6 @@ def dedup_keep_min(ds, pairs, id_col: str = "doc_id", distributed: bool = False,
     are hashed to int64 first (exact collision check, see
     :func:`hash_pairs_to_int64`) and the representative becomes the
     min-HASH member — deterministic, but not the lexicographic minimum."""
-    import ray
-    import pyarrow.compute as _pc
-
     if distributed:
         sch = pairs.schema()
         atype = dict(zip(sch.names, sch.types))["id_a"]
@@ -410,22 +410,11 @@ def dedup_keep_min(ds, pairs, id_col: str = "doc_id", distributed: bool = False,
             lambda t: t.filter(pc.not_equal(t["doc_id"], t["component"])),
             batch_format="pyarrow", batch_size=None,
         ).to_pandas()
-        drop = drop_df["doc_id"].tolist()
-        drop_ref = ray.put(drop)
-
-        class DropHashed:
-            def __init__(self, ref):
-                vals = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-                self.drop_set = pa.array(vals, pa.int64())
-
-            def __call__(self, t: pa.Table) -> pa.Table:
-                probe = (pa.array(content_hash(t[id_col]).astype(np.int64))
-                         if string_ids else t[id_col].cast(pa.int64()))
-                keep = _pc.invert(_pc.is_in(probe, value_set=self.drop_set))
-                return t.filter(_pc.fill_null(keep, True))
-
-        return ds.map_batches(DropHashed, fn_constructor_kwargs=dict(ref=drop_ref),
-                              batch_format="pyarrow", concurrency=(1, 8))
+        drop = pa.array(drop_df["doc_id"], pa.int64())
+        probe = ((lambda c: pa.array(content_hash(c).astype(np.int64))) if string_ids
+                 else (lambda c: c.cast(pa.int64())))
+        return _broadcast_id_filter(ds, ray.put(drop), id_col,
+                                    keep_members=False, probe=probe)
 
     comp = connected_components(pairs)
     drop = comp.loc[comp["doc_id"] != comp["component"], "doc_id"].tolist()

@@ -101,39 +101,36 @@ def histogram_partials(t: pa.Table, hist_cols: list[str], ts_col: str | None = N
     for the ts range.  The building block of every exact aggregate here."""
     parts = []
     for col in hist_cols:
-        g = t.group_by([col]).aggregate([([], "count_all")])
-        kstr = pc.fill_null(pc.cast(g[col], pa.string()), NULL_KEY)
-        m = len(g)
+        # one hash kernel per column, no Acero plan; a null counts as one
+        # value and becomes NULL_KEY
+        vc = pc.value_counts(t[col])
+        m = len(vc)
         zeros = pa.array(np.zeros(m, np.int64))
         parts.append(
             pa.table(
                 {
-                    "metric": pa.array([col] * m, pa.string()),
-                    "key": kstr,
-                    "n": g[g.column_names[-1]].cast(pa.int64()),
+                    "metric": pa.repeat(pa.scalar(col, pa.string()), m),
+                    "key": pc.fill_null(pc.cast(vc.field("values"), pa.string()), NULL_KEY),
+                    "n": vc.field("counts"),
                     "v_min": zeros,
                     "v_max": zeros,
                 }
             )
         )
     if ts_col is not None and t.num_rows:
-        ts = pc.cast(t[ts_col], pa.int64())
-        if pc.min(ts).as_py() is None:
-            ts = None  # all-null ts (e.g. raw-log sources): no range row
-    else:
-        ts = None
-    if ts is not None:
-        parts.append(
-            pa.table(
-                {
-                    "metric": pa.array(["__ts"], pa.string()),
-                    "key": pa.array([""], pa.string()),
-                    "n": pa.array([0], pa.int64()),
-                    "v_min": pa.array([pc.min(ts).as_py()], pa.int64()),
-                    "v_max": pa.array([pc.max(ts).as_py()], pa.int64()),
-                }
+        lo, hi = pc.min_max(pc.cast(t[ts_col], pa.int64())).values()
+        if lo.is_valid:  # all-null ts (e.g. raw-log sources): no range row
+            parts.append(
+                pa.table(
+                    {
+                        "metric": pa.array(["__ts"], pa.string()),
+                        "key": pa.array([""], pa.string()),
+                        "n": pa.array([0], pa.int64()),
+                        "v_min": pa.array([lo.as_py()], pa.int64()),
+                        "v_max": pa.array([hi.as_py()], pa.int64()),
+                    }
+                )
             )
-        )
     if not parts:
         return PARTIAL_SCHEMA.empty_table()
     return pa.concat_tables(parts)

@@ -89,7 +89,8 @@ def route_datasets(ds, router: Router) -> dict:
 def route_exclusive(ds, router: Router, drop_unrouted: bool = True):
     """Single-pass routing: appends a ``route`` column (first match wins).
     Rows matching no route are dropped unless a default_route is set or
-    ``drop_unrouted=False`` (kept with null route)."""
+    ``drop_unrouted=False`` (kept with null route, which
+    :class:`RouteSinkWriter` refuses)."""
 
     def _tag(t: pa.Table) -> pa.Table:
         col = router.route_column(t)
@@ -115,11 +116,21 @@ class RouteSinkWriter:
     Each file is ``route=<name>/part-<task>-<n>.parquet``, named by the
     batch's retry-stable :func:`~logray.state.manifest.batch_id` and
     committed with :func:`~logray.state.manifest.publish`: a retried task
-    rewrites the same files instead of adding copies.
+    rewrites the same files instead of adding copies.  A batch holding a
+    null route (``route_exclusive(drop_unrouted=False)`` without a default
+    route) raises ``ValueError``: those rows would be counted but written
+    nowhere.
     """
 
-    # zstd: measured equal write speed to snappy on this corpus with ~33%
-    # smaller files — at fleet scale that is storage and read bandwidth
+    # zstd: 19.8 B/row on the benchmark corpus (seed 15) against snappy's
+    # 32.9, with snappy about 20% cheaper to encode — at fleet scale the
+    # bytes are storage and read bandwidth.  The small dictionary page
+    # limit makes Arrow fall back to PLAIN after the first write batch on
+    # a column whose values do not repeat (text, Mesg, ts, ...) instead
+    # of dictionary-encoding it whole; columns whose values repeat (role,
+    # tool, Level, ...) stay dictionary-encoded.
+    DICTIONARY_PAGESIZE_LIMIT = 4096
+
     def __init__(self, out_dir: str, hist_cols: list[str], ts_col: str | None = "ts",
                  compression: str = "zstd"):
         self.out_dir = out_dir
@@ -134,12 +145,26 @@ class RouteSinkWriter:
 
         from logray.state.manifest import batch_id, publish
 
+        if t["route"].null_count:
+            raise ValueError(
+                "RouteSinkWriter: batch has rows with a null route; they come from "
+                "route_exclusive(drop_unrouted=False) with no default_route — set a "
+                "default_route or drop the unrouted rows")
         task, n = batch_id()
-        routes = t["route"]
-        for name in pc.unique(routes).to_pylist():
-            part = t.filter(pc.equal(routes, name)).drop_columns(["route"])
+        # one stable sort by route code, one take, then a zero-copy slice
+        # per route: rows keep their input order within each route
+        codes = pc.dictionary_encode(t["route"].combine_chunks())
+        rows = t.drop_columns(["route"])
+        counts = np.bincount(codes.indices.to_numpy(), minlength=len(codes.dictionary))
+        if len(counts) > 1:
+            rows = rows.take(pc.sort_indices(codes.indices))
+        starts = np.cumsum(counts) - counts
+        for name, start, count in zip(codes.dictionary.to_pylist(), starts, counts):
+            part = rows.slice(start, count)
             path = os.path.join(self.out_dir, f"route={name}", f"part-{task:05d}-{n:05d}.parquet")
-            publish(path, lambda tmp: pq.write_table(part, tmp, compression=self.compression))
+            publish(path, lambda tmp: pq.write_table(
+                part, tmp, compression=self.compression,
+                dictionary_pagesize_limit=self.DICTIONARY_PAGESIZE_LIMIT))
         from logray.stages.aggregate import histogram_partials
 
         return histogram_partials(t, self.hist_cols, self.ts_col)

@@ -81,6 +81,105 @@ def test_routed_row_text_equality(ray_session, tmp_path):
     assert out["conv_id"].tolist() == src["conv_id"].tolist()
 
 
+def _varint(b: bytes, p: int):
+    v = shift = 0
+    while True:
+        x = b[p]
+        p += 1
+        v |= (x & 0x7F) << shift
+        shift += 7
+        if x < 0x80:
+            return v, p
+
+
+def _thrift_value(b: bytes, p: int, t: int):
+    """One Thrift-compact value of type ``t``: the bool, integer, binary
+    and struct types a Parquet page header is made of."""
+    if t in (1, 2):
+        return t == 1, p
+    if t in (4, 5, 6):
+        v, p = _varint(b, p)
+        return (v >> 1) ^ -(v & 1), p
+    if t == 8:
+        n, p = _varint(b, p)
+        return b[p:p + n], p + n
+    if t == 12:
+        out, fid = {}, 0
+        while b[p]:
+            h = b[p]
+            p += 1
+            if h >> 4:
+                fid += h >> 4
+            else:
+                fid, p = _thrift_value(b, p, 4)
+            out[fid], p = _thrift_value(b, p, h & 15)
+        return out, p + 1
+    raise ValueError(f"thrift type {t}")
+
+
+def _page_encodings(path: str, col: int) -> list:
+    """(page type, encoding) of each page of column ``col`` in row group 0,
+    read from the Parquet page headers: page type 2 is a dictionary page,
+    0/3 a data page; encoding 0 is PLAIN, 2/8 the dictionary indices."""
+    import pyarrow.parquet as pq
+
+    md = pq.ParquetFile(path).metadata.row_group(0).column(col)
+    with open(path, "rb") as f:
+        buf = f.read()
+    p = md.dictionary_page_offset if md.has_dictionary_page else md.data_page_offset
+    pages, values = [], 0
+    while values < md.num_values:
+        hdr, p = _thrift_value(buf, p, 12)
+        if hdr[1] == 2:
+            pages.append((2, hdr[7][2]))
+        else:
+            body = hdr[5] if hdr[1] == 0 else hdr[8]
+            pages.append((hdr[1], body[2] if hdr[1] == 0 else body[4]))
+            values += body[1]
+        p += hdr[3]
+    return pages
+
+
+def test_sink_files_keep_rows_schema_and_encode_plan(ray_session, tmp_path):
+    """Each route file holds the writer's input rows of that route, in
+    input order, under the input schema minus ``route`` (no dictionary
+    types); on disk ``role`` is dictionary-encoded and ``text`` falls back
+    to PLAIN data pages."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from logray.stages.enrich import EnrichBatch
+    from logray.stages.parse import ParseBatch
+
+    table = synth_transcripts_table(n_convs=1000, seed=5)
+    tagged = EnrichBatch()(ParseBatch(GOLDEN_FORMAT)(table))
+    tagged = tagged.append_column("route", CFG.build_router().route_column(tagged))
+    run_pipeline(rd.from_arrow(table), CFG, str(tmp_path), write_metrics=False)
+
+    want_schema = tagged.schema.remove(tagged.schema.get_field_index("route"))
+    sink = tmp_path / "routed"
+    routes = sorted(d.name.removeprefix("route=") for d in sink.iterdir())
+    assert routes == ["info", "malformed", "trace"]
+    for route in routes:
+        files = sorted((sink / f"route={route}").iterdir())
+        for f in files:
+            schema = pq.read_schema(f)
+            assert schema.equals(want_schema), f
+            assert not any(pa.types.is_dictionary(t) for t in schema.types)
+        got = pa.concat_tables(pq.read_table(f) for f in files)
+        want = tagged.filter(pc.equal(tagged["route"], route)).drop_columns(["route"])
+        assert want.num_rows >= 4096
+        assert got.equals(want), route
+
+        names = want_schema.names
+        role = _page_encodings(str(files[0]), names.index("role"))
+        assert role[0] == (2, 0) and {e for _, e in role[1:]} <= {2, 8}, role
+        text = _page_encodings(str(files[0]), names.index("text"))
+        assert any(t != 2 and e == 0 for t, e in text), text
+
+
 def test_resumable_run_skips_done_and_survives_crash(ray_session, tmp_path):
     import ray.data as rd
 

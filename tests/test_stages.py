@@ -1414,3 +1414,52 @@ def test_resample_ohlc_null_key_and_single_row_windows(ray_session):
     assert out["close"].tolist() == [1.5, 2.5]
     assert out["n"].tolist() == [1, 1]
     assert out["sum_cents"].tolist() == [150, 250]
+
+
+def test_histogram_partials_match_duckdb_group_by():
+    """One partial row per distinct value per column, nulls counted under
+    NULL_KEY: the same rows as a DuckDB GROUP BY on each column."""
+    import duckdb
+    import pyarrow.compute as pc
+
+    from logray.stages.aggregate import NULL_KEY, PARTIAL_SCHEMA, histogram_partials
+
+    n = 500
+    t = pa.table(
+        {
+            "s": pa.array([None if i % 7 == 0 else f"k{i % 11}" for i in range(n)]),
+            "z": pa.nulls(n),
+            "b": pa.array([None if i % 5 == 0 else i % 3 == 0 for i in range(n)]),
+            "i": pa.array([None if i % 13 == 0 else i % 9 - 4 for i in range(n)], pa.int64()),
+            "ts": pa.array([None if i % 17 == 0 else 1_000_000 * (i % 6) for i in range(n)],
+                           pa.timestamp("us")),
+        }
+    )
+    cols = t.column_names
+    con = duckdb.connect()
+
+    def rows(tab):
+        return sorted(zip(*(tab[c].to_pylist() for c in PARTIAL_SCHEMA.names)))
+
+    for src in (t, t.slice(0, 0)):
+        got = histogram_partials(src, cols)
+        assert got.schema == PARTIAL_SCHEMA
+        con.register("src", src)
+        want = []
+        for col in cols:
+            g = con.execute(f'SELECT "{col}" AS k, count(*) AS n FROM src GROUP BY 1').arrow()
+            keys = pc.fill_null(pc.cast(g["k"], pa.string()), NULL_KEY).to_pylist()
+            want += [(col, k, n, 0, 0) for k, n in zip(keys, g["n"].to_pylist())]
+        assert rows(got) == sorted(want)
+        assert len(want) == (0 if src.num_rows == 0 else 12 + 1 + 3 + 10 + 7)
+
+
+def test_route_sink_writer_refuses_null_route(tmp_path):
+    """Rows with a null route would be counted but written nowhere: the
+    writer raises before writing any file (run outside Ray)."""
+    from logray.stages.route import RouteSinkWriter
+
+    t = pa.table({"route": pa.array(["a", None, "a"]), "x": [1, 2, 3]})
+    with pytest.raises(ValueError, match=r"drop_unrouted=False"):
+        RouteSinkWriter(str(tmp_path / "sink"), ["route"], ts_col=None)(t)
+    assert not (tmp_path / "sink").exists()
