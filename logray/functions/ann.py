@@ -68,14 +68,13 @@ def _reduced_topk(scored, k: int, coalesce_rows: int = 1 << 20) -> pd.DataFrame:
 
 
 class _BruteScore:
-    """Actor: queries fetched from the object store once per actor."""
+    """Batch scorer: the query matrix is unit-normalized once on the
+    driver and ships inside the fused task."""
 
-    def __init__(self, queries_ref, k: int, emb_col: str, id_col: str, dtype=np.float32):
+    def __init__(self, queries, k: int, emb_col: str, id_col: str, dtype=np.float32):
         import ray
 
-        q = queries_ref
-        if isinstance(q, ray.ObjectRef):
-            q = ray.get(q)
+        q = ray.get(queries) if isinstance(queries, ray.ObjectRef) else queries
         self.qid = np.asarray(q["query_id"])
         self.dtype = dtype
         self.qm = _unit(np.asarray(q["matrix"], dtype))
@@ -100,25 +99,16 @@ class _BruteScore:
 
 def ann_topk(ds, queries: dict | "object", k: int = 10,
              emb_col: str = "embedding", id_col: str = "vec_id",
-             batch_size: int = 4096, concurrency=None, dtype=np.float32) -> pd.DataFrame:
+             batch_size: int = 4096, dtype=np.float32) -> pd.DataFrame:
     """Exact cosine top-k for each query vector.
 
     ``queries`` = {"query_id": [...], "matrix": ndarray (nq, dim)} or a
-    ``ray.ObjectRef`` of the same (broadcast once for cluster runs).
+    ``ray.ObjectRef`` of the same.
     Returns a DataFrame (query_id, vec_id, cosine, rank) — small: nq*k rows.
     """
-    kwargs = dict(batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True)
-    if concurrency is not None:
-        scored = ds.map_batches(
-            _BruteScore,
-            fn_constructor_kwargs=dict(
-                queries_ref=queries, k=k, emb_col=emb_col, id_col=id_col, dtype=dtype
-            ),
-            concurrency=concurrency,
-            **kwargs,
-        )
-    else:
-        scored = ds.map_batches(_BruteScore(queries, k, emb_col, id_col, dtype), **kwargs)
+    scored = ds.map_batches(_BruteScore(queries, k, emb_col, id_col, dtype),
+                            batch_format="pyarrow", batch_size=batch_size,
+                            zero_copy_batch=True)
     return _reduced_topk(scored, k)
 
 
@@ -235,31 +225,26 @@ def ann_ivf_topk(ds, queries: dict, k: int = 10, n_lists: int = 16, nprobe: int 
     qm = _unit(np.asarray(queries["matrix"], np.float64))
     q_lists = np.argsort(-(qm @ centroids.T), axis=1)[:, :nprobe]  # (nq, nprobe)
 
-    class Score:
-        def __init__(self, cr):
-            self.centroids = ray.get(cr) if isinstance(cr, ray.ObjectRef) else cr
+    def score(t: pa.Table) -> pd.DataFrame:
+        emb = _unit(_as_matrix(t[emb_col], np.float64))
+        ids = t[id_col].to_numpy(zero_copy_only=False)
+        assign = np.argmax(emb @ ray.get(cref).T, axis=1)
+        rows = {"query_id": [], "vec_id": [], "cosine": []}
+        for qi in range(len(qm)):
+            probe = np.isin(assign, q_lists[qi])
+            if not probe.any():
+                continue
+            sim = emb[probe] @ qm[qi]
+            sel = ids[probe]
+            kk = min(k, len(sim))
+            part = np.argpartition(-sim, kk - 1)[:kk]
+            rows["query_id"].extend([int(qid[qi])] * kk)
+            rows["vec_id"].extend(sel[part].tolist())
+            rows["cosine"].extend(sim[part].astype(float).tolist())
+        return pd.DataFrame(rows)
 
-        def __call__(self, t: pa.Table) -> pd.DataFrame:
-            emb = _unit(_as_matrix(t[emb_col], np.float64))
-            ids = t[id_col].to_numpy(zero_copy_only=False)
-            assign = np.argmax(emb @ self.centroids.T, axis=1)
-            rows = {"query_id": [], "vec_id": [], "cosine": []}
-            for qi in range(len(qm)):
-                probe = np.isin(assign, q_lists[qi])
-                if not probe.any():
-                    continue
-                sim = emb[probe] @ qm[qi]
-                sel = ids[probe]
-                kk = min(k, len(sim))
-                part = np.argpartition(-sim, kk - 1)[:kk]
-                rows["query_id"].extend([int(qid[qi])] * kk)
-                rows["vec_id"].extend(sel[part].tolist())
-                rows["cosine"].extend(sim[part].astype(float).tolist())
-            return pd.DataFrame(rows)
-
-    scored = ds.map_batches(Score, fn_constructor_kwargs=dict(cr=cref),
-                            batch_format="pyarrow", batch_size=batch_size,
-                            concurrency=(1, 8), zero_copy_batch=True)
+    scored = ds.map_batches(score, batch_format="pyarrow",
+                            batch_size=batch_size, zero_copy_batch=True)
     return _reduced_topk(scored, k)
 
 
@@ -307,19 +292,13 @@ def build_ivf_index(ds, path: str, n_lists: int = 16, emb_col: str = "embedding"
     centroids = _kmeans(sample, n_lists, seed=seed)
     cref = ray.put(centroids)
 
-    class Assign:
-        def __init__(self, cr):
-            self.c = ray.get(cr) if isinstance(cr, ray.ObjectRef) else cr
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            emb = _unit(_as_matrix(t[emb_col], np.float64))
-            assign = np.argmax(emb @ self.c.T, axis=1).astype(np.int64)
-            return t.append_column("ivf_list", pa.array(assign))
+    def assign(t: pa.Table) -> pa.Table:
+        emb = _unit(_as_matrix(t[emb_col], np.float64))
+        lists = np.argmax(emb @ ray.get(cref).T, axis=1).astype(np.int64)
+        return t.append_column("ivf_list", pa.array(lists))
 
     os.makedirs(path, exist_ok=True)
-    (ds.map_batches(Assign, fn_constructor_kwargs=dict(cr=cref),
-                    batch_format="pyarrow", zero_copy_batch=True,
-                    concurrency=(1, 8))
+    (ds.map_batches(assign, batch_format="pyarrow", zero_copy_batch=True)
        .write_parquet(os.path.join(path, "data"), partition_cols=["ivf_list"]))
     ctab = pa.table({"list_id": pa.array(range(len(centroids)), pa.int64()),
                      "centroid": pa.array([c.tolist() for c in centroids],

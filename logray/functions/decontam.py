@@ -3,9 +3,11 @@ word n-gram with an evaluation/benchmark corpus.
 
 The standard LLM-pipeline shape (GPT-3 appendix C / Llama style): the
 eval side is tiny next to the training corpus, so its n-gram set is
-built once, broadcast via ``ray.put``, and every training batch does a
-vectorized membership probe against it — no shuffle, no join; the
-training table streams through one embarrassingly-parallel operator.
+built once as a sorted uint64 array, broadcast via ``ray.put``, and
+every training batch reads it zero-copy inside a plain fused task and
+does one vectorized membership probe against it — no shuffle, no join,
+no actor pool; the training table streams through one
+embarrassingly-parallel operator.
 
 Normalization contract (shared by both sides and the SQL twin):
 lowercase, words = maximal ``\\S+`` runs, n-grams = n consecutive words
@@ -22,6 +24,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
+
+from logray.stages.bucketing import isin_sorted
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)
 
@@ -81,30 +85,19 @@ def flag_contaminated(train_ds, index, col: str = "text",
 
     ref = index if isinstance(index, ray.ObjectRef) else ray.put(index)
 
-    class Probe:
-        def __init__(self):
-            self.idx = ray.get(ref)
+    def probe(t: pa.Table) -> pa.Table:
+        p, h = _word_hashes(t, col)
+        gp, g = _gram_hashes(p, h, n)
+        hits = np.bincount(gp[isin_sorted(g, ray.get(ref))],
+                           minlength=t.num_rows).astype(np.int64)
+        return pa.table({
+            id_col: t[id_col],
+            "n_contaminated": pa.array(hits),
+            "contaminated": pa.array(hits > 0),
+        })
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            nd = t.num_rows
-            p, h = _word_hashes(t, col)
-            gp, g = _gram_hashes(p, h, n)
-            hits = np.zeros(nd, np.int64)
-            if len(g) and len(self.idx):
-                pos = np.searchsorted(self.idx, g)
-                pos = np.clip(pos, 0, len(self.idx) - 1)
-                found = self.idx[pos] == g
-                hits = np.bincount(gp[found], minlength=nd).astype(np.int64)
-            return pa.table({
-                id_col: t[id_col],
-                "n_contaminated": pa.array(hits),
-                "contaminated": pa.array(hits > 0),
-            })
-
-    return train_ds.map_batches(
-        Probe, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=None, concurrency=(1, 8),
-    )
+    return train_ds.map_batches(probe, batch_format="pyarrow",
+                                zero_copy_batch=True, batch_size=None)
 
 
 def drop_contaminated(train_ds, index, col: str = "text", n: int = 5):
@@ -116,27 +109,18 @@ def drop_contaminated(train_ds, index, col: str = "text", n: int = 5):
 
     ref = index if isinstance(index, ray.ObjectRef) else ray.put(index)
 
-    class Drop:
-        def __init__(self):
-            self.idx = ray.get(ref)
+    def drop(t: pa.Table) -> pa.Table:
+        idx = ray.get(ref)
+        if not len(idx) or not t.num_rows:
+            return t
+        p, h = _word_hashes(t, col)
+        gp, g = _gram_hashes(p, h, n)
+        keep = np.ones(t.num_rows, bool)
+        keep[np.unique(gp[isin_sorted(g, idx)])] = False
+        return t.filter(pa.array(keep))
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            if not len(self.idx) or not t.num_rows:
-                return t
-            p, h = _word_hashes(t, col)
-            gp, g = _gram_hashes(p, h, n)
-            keep = np.ones(t.num_rows, bool)
-            if len(g):
-                pos = np.clip(np.searchsorted(self.idx, g), 0,
-                              len(self.idx) - 1)
-                hit_docs = gp[self.idx[pos] == g]
-                keep[np.unique(hit_docs)] = False
-            return t.filter(pa.array(keep))
-
-    return train_ds.map_batches(
-        Drop, batch_format="pyarrow", zero_copy_batch=True,
-        batch_size=None, concurrency=(1, 8),
-    )
+    return train_ds.map_batches(drop, batch_format="pyarrow",
+                                zero_copy_batch=True, batch_size=None)
 
 
 def decontaminate_sql(train_table: str, eval_table: str, n: int = 5,

@@ -355,36 +355,34 @@ def hash_pairs_to_int64(pairs, id_a: str = "id_a", id_b: str = "id_b",
     return hashed
 
 
-def _broadcast_id_filter(ds, ids_ref, id_col: str, keep_members: bool,
+def _broadcast_id_filter(ds, ids, id_col: str, keep_members: bool,
                          select_cols=None, probe=None):
     """Shared broadcast id-set filter behind the dedup keep policies:
     ``keep_members=False`` DROPS the listed ids (keep-min / keep-best
     output), ``True`` KEEPS only them (the pruned score-fetch pass).
-    The set ships once via ``ray.put``; each actor casts it to the probed
-    column's type once and applies one vectorized ``is_in`` per batch.
+    ``ids`` (a list, ``pa.Array`` or ``ObjectRef`` of either) becomes one
+    ``pa.Array`` on the driver and ships once via ``ray.put``; each batch
+    reads it zero-copy inside a plain fused task, casts it to the probed
+    column's type if that differs, and applies one vectorized ``is_in``.
     ``probe(column) -> Array`` replaces the id column as the probed
     values (e.g. the int64 hashes of string ids)."""
+    if isinstance(ids, ray.ObjectRef):
+        ids = ray.get(ids)
+    ref = ray.put(ids if isinstance(ids, pa.Array) else pa.array(ids))
 
-    class IdFilter:
-        def __init__(self, ref):
-            vals = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-            self.id_set = vals if isinstance(vals, pa.Array) else pa.array(vals)
-            self._cast_set = None
+    def id_filter(t: pa.Table) -> pa.Table:
+        vals = t[id_col] if probe is None else probe(t[id_col])
+        id_set = ray.get(ref)
+        if id_set.type != vals.type:
+            id_set = (id_set.cast(vals.type) if len(id_set)
+                      else pa.array([], vals.type))
+        hit = pc.is_in(vals, value_set=id_set)
+        if keep_members:
+            t = t.filter(pc.fill_null(hit, False))
+            return t.select(select_cols) if select_cols else t
+        return t.filter(pc.fill_null(pc.invert(hit), True))
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            ids = t[id_col] if probe is None else probe(t[id_col])
-            if self._cast_set is None:
-                self._cast_set = (self.id_set.cast(ids.type)
-                                  if len(self.id_set) else
-                                  pa.array([], ids.type))
-            hit = pc.is_in(ids, value_set=self._cast_set)
-            if keep_members:
-                t = t.filter(pc.fill_null(hit, False))
-                return t.select(select_cols) if select_cols else t
-            return t.filter(pc.fill_null(pc.invert(hit), True))
-
-    return ds.map_batches(IdFilter, fn_constructor_kwargs=dict(ref=ids_ref),
-                          batch_format="pyarrow", concurrency=(1, 8))
+    return ds.map_batches(id_filter, batch_format="pyarrow")
 
 
 def dedup_keep_min(ds, pairs, id_col: str = "doc_id", distributed: bool = False,
@@ -413,13 +411,12 @@ def dedup_keep_min(ds, pairs, id_col: str = "doc_id", distributed: bool = False,
         drop = pa.array(drop_df["doc_id"], pa.int64())
         probe = ((lambda c: pa.array(content_hash(c).astype(np.int64))) if string_ids
                  else (lambda c: c.cast(pa.int64())))
-        return _broadcast_id_filter(ds, ray.put(drop), id_col,
-                                    keep_members=False, probe=probe)
+        return _broadcast_id_filter(ds, drop, id_col, keep_members=False,
+                                    probe=probe)
 
     comp = connected_components(pairs)
     drop = comp.loc[comp["doc_id"] != comp["component"], "doc_id"].tolist()
-    return _broadcast_id_filter(ds, ray.put(drop), id_col,
-                                keep_members=False)
+    return _broadcast_id_filter(ds, drop, id_col, keep_members=False)
 
 
 # ---------------------------------------------------------------------------
@@ -917,14 +914,11 @@ def dedup_keep_best(ds, pairs, id_col: str = "doc_id",
     O(duplicates); the drop-set broadcasts once.  For pathological pair
     volumes run :func:`connected_components_distributed` and a
     distributed per-component arg-max instead."""
-    import ray
-
     comp = connected_components(pairs)
     if not len(comp):
         return ds
-    mem_ref = ray.put(pa.array(comp["doc_id"].to_numpy()))
     scores = _broadcast_id_filter(
-        ds, mem_ref, id_col, keep_members=True,
+        ds, pa.array(comp["doc_id"].to_numpy()), id_col, keep_members=True,
         select_cols=[id_col, score_col]).to_pandas()
     m = comp.merge(scores, left_on="doc_id", right_on=id_col, how="inner")
     m = m.sort_values(["component", score_col, "doc_id"],
@@ -932,5 +926,4 @@ def dedup_keep_best(ds, pairs, id_col: str = "doc_id",
                       na_position="last")
     winners = set(m.drop_duplicates("component")["doc_id"])
     drop = [d for d in comp["doc_id"] if d not in winners]
-    return _broadcast_id_filter(ds, ray.put(drop), id_col,
-                                keep_members=False)
+    return _broadcast_id_filter(ds, drop, id_col, keep_members=False)

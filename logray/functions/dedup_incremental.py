@@ -163,21 +163,16 @@ def index_verdicts(ds, index_dir: str, text_col: str = "text",
                 "mode='sharded' or raise max_broadcast explicitly")
         idx_ref = ray.put(_load_sorted(files))
 
-        class Probe:
-            def __init__(self, ref):
-                self.idx1, self.idx2 = ray.get(ref)
-
-            def __call__(self, t: pa.Table) -> pa.Table:
-                valid = pc.is_valid(t[text_col])
-                h1, h2 = content_hash128(
-                    pc.if_else(valid, t[text_col], ""))
-                seen = _member128(h1, h2, self.idx1, self.idx2)
-                seen &= np.asarray(valid)
-                return pa.table({id_col: t[id_col], "seen": pa.array(seen)})
+        def probe(t: pa.Table) -> pa.Table:
+            valid = pc.is_valid(t[text_col])
+            h1, h2 = content_hash128(pc.if_else(valid, t[text_col], ""))
+            seen = _member128(h1, h2, *ray.get(idx_ref))
+            seen &= np.asarray(valid)
+            return pa.table({id_col: t[id_col], "seen": pa.array(seen)})
 
         return ds.select_columns([id_col, text_col]).map_batches(
-            Probe, fn_constructor_args=(idx_ref,), concurrency=(1, 8),
-            batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
+            probe, batch_format="pyarrow", zero_copy_batch=True,
+            batch_size=None)
 
     if mode != "sharded":
         raise ValueError(f"unknown mode {mode!r}")
@@ -219,8 +214,6 @@ def dedup_against_index(ds, index_dir: str, text_col: str = "text",
     snapshot's duplicate fraction, NOT the index size); callers whose
     duplicate fraction is itself corpus-sized should join
     :func:`index_verdicts` back instead."""
-    import ray
-
     from logray.functions.dedup import _broadcast_id_filter
 
     v = index_verdicts(ds, index_dir, text_col, id_col, mode,
@@ -235,5 +228,4 @@ def dedup_against_index(ds, index_dir: str, text_col: str = "text",
             "join index_verdicts back instead of the broadcast filter")
     dup = (pa.array(dup_df[id_col].to_numpy()) if len(dup_df)
            else pa.array([], pa.int64()))
-    return _broadcast_id_filter(ds, ray.put(dup), id_col,
-                                keep_members=False)
+    return _broadcast_id_filter(ds, dup, id_col, keep_members=False)

@@ -35,7 +35,7 @@ import pyarrow.compute as pc
 import ray
 
 from logray.functions.vertexshard import ShardRun, VertexShard
-from logray.stages.bucketing import grouped_apply
+from logray.stages.bucketing import grouped_apply, isin_sorted
 
 __all__ = [
     "degree_table",
@@ -762,14 +762,6 @@ def _wedge_pairs(u: np.ndarray):
     return fst, snd
 
 
-def _probe_keys(ks: np.ndarray, wk: np.ndarray) -> np.ndarray:
-    """Membership of packed wedge keys in the sorted edge-key array."""
-    pos = np.searchsorted(ks, wk)
-    hit = pos < len(ks)
-    hit[hit] = ks[pos[hit]] == wk[hit]
-    return hit
-
-
 def _bjoin_factory(num_buckets: int):
     from logray.stages.join import _bucketed_join
 
@@ -880,7 +872,7 @@ def triangle_count(edges, src: str = "src", dst: str = "dst",
             if pairs is None:
                 return pa.table({"n": pa.array([0], pa.int64())})
             fst, snd = pairs
-            hit = _probe_keys(ks, v[fst] * np.int64(nn) + v[snd])
+            hit = isin_sorted(v[fst] * np.int64(nn) + v[snd], ks)
             return pa.table({"n": pa.array([int(hit.sum())], pa.int64())})
 
         counted = rd.from_arrow(blocks).map_batches(
@@ -1324,7 +1316,7 @@ def clustering_coefficients(edges, src: str = "src", dst: str = "dst",
             if pairs is None:
                 return out_empty
             fst, snd = pairs
-            hit = _probe_keys(ks, v[fst] * np.int64(nn) + v[snd])
+            hit = isin_sorted(v[fst] * np.int64(nn) + v[snd], ks)
             corners = np.concatenate(
                 [u[fst][hit], v[fst][hit], v[snd][hit]])
             rr, cnt = np.unique(corners, return_counts=True)
@@ -1557,7 +1549,7 @@ def kcore_members(edges, k: int, src: str = "src", dst: str = "dst",
             a2 = _to_int64(t["a"])
             b2 = _to_int64(t["b"])
             return t.filter(pa.array(
-                ~(_probe_keys(dr, a2) | _probe_keys(dr, b2))))
+                ~(isin_sorted(a2, dr) | isin_sorted(b2, dr))))
 
         cur = cur.map_batches(keep_edges, batch_format="pyarrow",
                               zero_copy_batch=True).materialize()
@@ -1795,8 +1787,6 @@ def khop_edges(edges, seeds, hops: int = 2, fanout: int | None = None,
     seen = seeds.copy()
     out_parts: list = []
 
-    member = _probe_keys  # sorted-set membership (shared probe)
-
     for hop in range(1, hops + 1):
         frontier_ref = ray.put(seeds if hop == 1 else frontier)  # noqa: F821
 
@@ -1804,7 +1794,7 @@ def khop_edges(edges, seeds, hops: int = 2, fanout: int | None = None,
             fr = ray.get(_ref)
             s = _to_int64(t[src])
             d = _to_int64(t[dst])
-            keep = member(fr, s)
+            keep = isin_sorted(s, fr)
             return pa.table({"src": pa.array(s[keep]),
                              "dst": pa.array(d[keep])})
 
@@ -1829,7 +1819,7 @@ def khop_edges(edges, seeds, hops: int = 2, fanout: int | None = None,
             break
         nxt = np.unique(pa.concat_tables(dsts)["dst"]
                         .combine_chunks().to_numpy(zero_copy_only=False))
-        frontier = nxt[~member(seen, nxt)]
+        frontier = nxt[~isin_sorted(nxt, seen)]
         if len(seen) + len(frontier) > max_frontier:
             raise RuntimeError(
                 "khop_edges: frontier exceeds max_frontier "

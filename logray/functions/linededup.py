@@ -52,7 +52,7 @@ import pyarrow.compute as pc
 
 from logray.functions.fingerprint import content_hash
 from logray.stages.bucketing import (BUCKET_COL, bucket_exchange, bucket_of,
-                                     grouped_apply, run_starts)
+                                     grouped_apply, isin_sorted, run_starts)
 
 __all__ = ["dedup_lines", "dedup_lines_sql"]
 
@@ -164,12 +164,7 @@ def _dedup_sparse(ds, lines, contested: np.ndarray, id_col: str,
         long = np.asarray(
             pc.greater_equal(pc.utf8_length(t["line"]), min_len))
         h = _long_line_hashes(t, min_len)
-        if len(arr):
-            pos = np.searchsorted(arr, h)
-            hit = (pos < len(arr)) & (arr[np.minimum(pos, len(arr) - 1)] == h)
-        else:
-            hit = np.zeros(len(h), np.bool_)
-        t = t.filter(pa.array(long & hit))
+        t = t.filter(pa.array(long & isin_sorted(h, arr)))
         if t.num_rows == 0:
             return t.append_column(BUCKET_COL, pa.array([], pa.int64()))
         b = bucket_of(t["line"], num_buckets)
@@ -204,17 +199,10 @@ def _dedup_sparse(ds, lines, contested: np.ndarray, id_col: str,
             acache["a"] = arr
         return arr
 
-    def _is_affected(ids: np.ndarray) -> np.ndarray:
-        arr = _affected_arr()
-        if not len(arr):
-            return np.zeros(len(ids), np.bool_)
-        pos = np.searchsorted(arr, ids)
-        return (pos < len(arr)) & (arr[np.minimum(pos, len(arr) - 1)] == ids)
-
     def pass_unaffected(t: pa.Table) -> pa.Table:
         t = t.filter(pc.is_valid(t[text_col]))
         ids = t[id_col].to_numpy(zero_copy_only=False)
-        t = t.filter(pa.array(~_is_affected(ids)))
+        t = t.filter(pa.array(~isin_sorted(ids, _affected_arr())))
         txt = t[text_col]
         if isinstance(txt, pa.ChunkedArray):
             txt = txt.combine_chunks()
@@ -230,7 +218,7 @@ def _dedup_sparse(ds, lines, contested: np.ndarray, id_col: str,
 
     def affected_lines(t: pa.Table) -> pa.Table:
         ids = t[id_col].to_numpy(zero_copy_only=False)
-        t = t.filter(pa.array(_is_affected(ids)))
+        t = t.filter(pa.array(isin_sorted(ids, _affected_arr())))
         return t.append_column("__dead", pa.array(
             np.zeros(t.num_rows, np.bool_)))
 

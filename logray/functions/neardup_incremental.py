@@ -47,7 +47,7 @@ import pyarrow.parquet as pq
 from logray.functions.fingerprint import band_hashes, minhash_signatures
 from logray.functions.indexbase import (META_NAME, read_meta, shard_files,
                                         total_index_rows, write_meta)
-from logray.stages.bucketing import BUCKET_COL, bucket_exchange
+from logray.stages.bucketing import BUCKET_COL, bucket_exchange, isin_sorted
 
 __all__ = ["build_band_index", "near_dup_ids_against_index",
            "dedup_near_against_index"]
@@ -125,14 +125,6 @@ def _per_band_sorted(files: list[str], bands: int) -> list[np.ndarray]:
     return out
 
 
-def _isin_sorted(q: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    if not len(idx) or not len(q):
-        return np.zeros(len(q), bool)
-    pos = np.searchsorted(idx, q)
-    pos[pos == len(idx)] = len(idx) - 1
-    return idx[pos] == q
-
-
 def near_dup_ids_against_index(ds, index_dir: str, text_col: str = "text",
                                id_col: str = "doc_id",
                                mode: str = "broadcast",
@@ -154,22 +146,18 @@ def near_dup_ids_against_index(ds, index_dir: str, text_col: str = "text",
                 f"{max_broadcast}; use mode='sharded'")
         idx_ref = ray.put(_per_band_sorted(files, bands))
 
-        class Probe:
-            def __init__(self, ref):
-                self.idx = ray.get(ref)
-
-            def __call__(self, t: pa.Table) -> pa.Table:
-                bh, valid = _band_rows(t, text_col, meta)
-                seen = np.zeros(len(valid), bool)
-                for b in range(bands):
-                    seen |= _isin_sorted(bh[:, b], self.idx[b])
-                seen &= valid
-                return pa.table({id_col: pc.filter(t[id_col],
-                                                   pa.array(seen))})
+        def probe(t: pa.Table) -> pa.Table:
+            idx = ray.get(idx_ref)
+            bh, valid = _band_rows(t, text_col, meta)
+            seen = np.zeros(len(valid), bool)
+            for b in range(bands):
+                seen |= isin_sorted(bh[:, b], idx[b])
+            seen &= valid
+            return pa.table({id_col: pc.filter(t[id_col], pa.array(seen))})
 
         return ds.select_columns([id_col, text_col]).map_batches(
-            Probe, fn_constructor_args=(idx_ref,), concurrency=(1, 8),
-            batch_format="pyarrow", zero_copy_batch=True, batch_size=None)
+            probe, batch_format="pyarrow", zero_copy_batch=True,
+            batch_size=None)
 
     if mode != "sharded":
         raise ValueError(f"unknown mode {mode!r}")
@@ -195,7 +183,7 @@ def near_dup_ids_against_index(ds, index_dir: str, text_col: str = "text",
         g = int(gdf["__g"].iloc[0])
         idx = _per_band_sorted(shard_files(index_dir, "__g", g), bands)
         b = int(gdf["band_id"].iloc[0])  # one band per __g by construction
-        hit = _isin_sorted(gdf["band_hash"].to_numpy().astype(np.uint64),
+        hit = isin_sorted(gdf["band_hash"].to_numpy().astype(np.uint64),
                            idx[b])
         return pd.DataFrame({id_col: gdf[id_col].to_numpy()[hit]})
 
@@ -211,8 +199,6 @@ def dedup_near_against_index(ds, index_dir: str, text_col: str = "text",
     matched-ID set broadcasts — bounded by the snapshot's duplicate
     fraction, not the index; corpus-sized duplicate fractions should
     join :func:`near_dup_ids_against_index` back instead)."""
-    import ray
-
     from logray.functions.dedup import _broadcast_id_filter
 
     m = near_dup_ids_against_index(ds, index_dir, text_col, id_col, mode,
@@ -235,5 +221,4 @@ def dedup_near_against_index(ds, index_dir: str, text_col: str = "text",
     else:
         ids = dup_df[id_col].drop_duplicates().to_numpy()
     dup = pa.array(ids) if len(ids) else pa.array([], pa.int64())
-    return _broadcast_id_filter(ds, ray.put(dup), id_col,
-                                keep_members=False)
+    return _broadcast_id_filter(ds, dup, id_col, keep_members=False)

@@ -389,8 +389,6 @@ def source_quality_gate(ds, text_col: str = "text", key_col: str = "source",
     arithmetic (``alpha * den >= num * total`` — no float division), so
     the verdict is bit-identical to the SQL twin under any partitioning.
     """
-    import ray
-
     from ray.data.aggregate import Sum
 
     def partial(t: pa.Table) -> pd.DataFrame:
@@ -416,11 +414,10 @@ def source_quality_gate(ds, text_col: str = "text", key_col: str = "source",
     good = [int(a) * int(min_alpha_den) >= int(min_alpha_num) * int(c)
             for a, c in zip(folded["a"], folded["c"])]
     ok = folded.loc[good, key_col]
-    keep_ref = ray.put(pa.array(ok.to_numpy()))
-
     from logray.functions.dedup import _broadcast_id_filter
 
-    return _broadcast_id_filter(ds, keep_ref, key_col, keep_members=True)
+    return _broadcast_id_filter(ds, pa.array(ok.to_numpy()), key_col,
+                                keep_members=True)
 
 
 def source_quality_gate_sql(table: str, text_col: str = "text",

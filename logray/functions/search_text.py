@@ -94,55 +94,6 @@ def corpus_stats(ds, terms: list[str], col: str = "text") -> dict:
             "df": df, "order": order}
 
 
-class _BM25Score:
-    """Actor: query-term table + idf weights fetched once per actor."""
-
-    def __init__(self, state_ref, k: int, col: str, id_col: str,
-                 k1: float, b: float):
-        import ray
-
-        s = ray.get(state_ref) if isinstance(state_ref, ray.ObjectRef) else state_ref
-        self.terms = pa.array(s["terms"])
-        self.idf = s["idf"]            # (T,)
-        self.qmask = s["qmask"]        # (nq, T) 0/1
-        self.qids = s["qids"]
-        self.avgdl = s["avgdl"]
-        self.k, self.col, self.id_col, self.k1, self.b = k, col, id_col, k1, b
-
-    def __call__(self, t: pa.Table) -> pd.DataFrame:
-        nd = t.num_rows
-        ntq = len(self.terms)
-        parent, flat = _doc_tokens(t, self.col)
-        dl = np.bincount(parent, minlength=nd).astype(np.float64)
-        idx = pc.index_in(flat, value_set=self.terms).to_numpy(zero_copy_only=False)
-        hit = ~pd.isna(idx)
-        tf = np.zeros((nd, ntq), np.float64)
-        if hit.any():
-            flatk = parent[hit] * ntq + idx[hit].astype(np.int64)
-            counts = np.bincount(flatk, minlength=nd * ntq)
-            tf = counts.reshape(nd, ntq).astype(np.float64)
-        kk = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl) if self.avgdl else \
-            np.full(nd, self.k1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            contrib = self.idf * (tf * (self.k1 + 1.0)) / (tf + kk[:, None])
-        contrib = np.nan_to_num(contrib)
-        scores = contrib @ self.qmask.T            # (nd, nq)
-        ids = t[self.id_col].to_numpy(zero_copy_only=False)
-        k = min(self.k, nd)
-        rows = {"query_id": [], "doc_id": [], "score": []}
-        for qi in range(scores.shape[1]):
-            s = scores[:, qi]
-            sel = np.argpartition(-s, k - 1)[:k] if k < nd else np.arange(nd)
-            rows["query_id"].extend([self.qids[qi]] * len(sel))
-            rows["doc_id"].extend(ids[sel].tolist())
-            rows["score"].extend(s[sel].tolist())
-        return pd.DataFrame({
-            "query_id": pd.Series(rows["query_id"], dtype="int64"),
-            "doc_id": pd.Series(rows["doc_id"], dtype="int64"),
-            "score": pd.Series(rows["score"], dtype="float64"),
-        })
-
-
 def _merge(parts: list[pd.DataFrame], k: int) -> pd.DataFrame:
     parts = [p for p in parts if not p.empty and "query_id" in p.columns]
     if not parts:
@@ -165,7 +116,9 @@ def bm25_topk(ds, queries, k: int = 10, col: str = "text",
     (query_id, query_text).  Two streaming passes (stats + scoring) with
     a tree-reduce winner merge; pass a precomputed ``stats`` (from
     :func:`corpus_stats` over the same corpus/terms) to reuse pass 1
-    across query batches."""
+    across query batches.  The query-term array, idf weights and query
+    mask are built once on the driver and ``ray.put``; each scoring
+    task reads them zero-copy."""
     import ray
 
     q_terms = [tokenize_terms(q) for _, q in queries]
@@ -181,17 +134,46 @@ def bm25_topk(ds, queries, k: int = 10, col: str = "text",
         for t in set(ts):
             if t in order:
                 qmask[qi, order[t]] = 1.0
-    state = ray.put({
-        "terms": sorted(order, key=order.get),
-        "idf": idf, "qmask": qmask,
-        "qids": [int(qid) for qid, _ in queries],
-        "avgdl": stats["avgdl"],
-    })
-    scored = ds.map_batches(
-        _BM25Score, fn_constructor_args=(state, k, col, id_col, k1, b),
-        batch_format="pyarrow", zero_copy_batch=True, batch_size=None,
-        concurrency=(1, 8),
-    )
+    qids = [int(qid) for qid, _ in queries]
+    avgdl = stats["avgdl"]
+    state = ray.put((pa.array(sorted(order, key=order.get), pa.string()),
+                     idf, qmask))
+
+    def score(t: pa.Table) -> pd.DataFrame:
+        terms, idf, qmask = ray.get(state)
+        nd = t.num_rows
+        ntq = len(terms)
+        parent, flat = _doc_tokens(t, col)
+        dl = np.bincount(parent, minlength=nd).astype(np.float64)
+        idx = pc.index_in(flat, value_set=terms).to_numpy(zero_copy_only=False)
+        hit = ~pd.isna(idx)
+        tf = np.zeros((nd, ntq), np.float64)
+        if hit.any():
+            flatk = parent[hit] * ntq + idx[hit].astype(np.int64)
+            counts = np.bincount(flatk, minlength=nd * ntq)
+            tf = counts.reshape(nd, ntq).astype(np.float64)
+        kk = k1 * (1.0 - b + b * dl / avgdl) if avgdl else np.full(nd, k1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            contrib = idf * (tf * (k1 + 1.0)) / (tf + kk[:, None])
+        contrib = np.nan_to_num(contrib)
+        scores = contrib @ qmask.T            # (nd, nq)
+        ids = t[id_col].to_numpy(zero_copy_only=False)
+        kq = min(k, nd)
+        rows = {"query_id": [], "doc_id": [], "score": []}
+        for qi in range(scores.shape[1]):
+            s = scores[:, qi]
+            sel = np.argpartition(-s, kq - 1)[:kq] if kq < nd else np.arange(nd)
+            rows["query_id"].extend([qids[qi]] * len(sel))
+            rows["doc_id"].extend(ids[sel].tolist())
+            rows["score"].extend(s[sel].tolist())
+        return pd.DataFrame({
+            "query_id": pd.Series(rows["query_id"], dtype="int64"),
+            "doc_id": pd.Series(rows["doc_id"], dtype="int64"),
+            "score": pd.Series(rows["score"], dtype="float64"),
+        })
+
+    scored = ds.map_batches(score, batch_format="pyarrow",
+                            zero_copy_batch=True, batch_size=None)
 
     def reduce_partial(d: pd.DataFrame) -> pd.DataFrame:
         if d.empty or "query_id" not in d.columns:

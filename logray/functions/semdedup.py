@@ -142,13 +142,10 @@ def semdedup_keep(ds, k: int = 16, emb_col: str = "embedding",
     — it is the duplicate fraction of the corpus, orders of magnitude
     smaller than the corpus itself for real eps — and broadcast once via
     ``ray.put`` into a vectorized ``is_in`` filter pass."""
-    import ray
-
     verdicts = semdedup_verdicts(ds, k, emb_col, id_col, eps, keep, iters,
                                  seed, max_cluster)
     drop_df = (verdicts.filter(expr="kept == False")
                .select_columns([id_col]).to_pandas())
     drop_ids = (pa.array(drop_df[id_col].to_numpy()) if len(drop_df)
                 else pa.array([], pa.int64()))
-    return _broadcast_id_filter(ds, ray.put(drop_ids), id_col,
-                                keep_members=False)
+    return _broadcast_id_filter(ds, drop_ids, id_col, keep_members=False)

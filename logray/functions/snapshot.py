@@ -116,25 +116,22 @@ def _verdict_fold(key_cols: list[str], id_col: str,
     return fold
 
 
-class _MapBack:
-    """Actor: join one side's (id, idhash128) rows against the broadcast
-    verdict table — verdicts fetched once per actor."""
+def _map_back(ds, vt: pa.Table, id_col: str):
+    """Join one side's (id, idhash128) rows against its share of the
+    verdict table, ``ray.put`` once and read zero-copy per batch."""
+    import ray
 
-    def __init__(self, verdicts_ref, statuses: tuple, id_col: str):
-        import ray
+    ref = ray.put(vt)
 
-        vt = ray.get(verdicts_ref) \
-            if isinstance(verdicts_ref, ray.ObjectRef) else verdicts_ref
-        self.vt = vt.filter(pc.is_in(vt["status"],
-                                     value_set=pa.array(list(statuses))))
-        self.id_col = id_col
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        ih1, ih2 = _hash128_with_null(t[self.id_col])
-        probe = pa.table({self.id_col: t[self.id_col],
+    def join(t: pa.Table) -> pa.Table:
+        ih1, ih2 = _hash128_with_null(t[id_col])
+        probe = pa.table({id_col: t[id_col],
                           "ih1": pa.array(ih1), "ih2": pa.array(ih2)})
-        j = probe.join(self.vt, keys=["ih1", "ih2"], join_type="inner")
-        return j.select([self.id_col, "status"])
+        j = probe.join(ray.get(ref), keys=["ih1", "ih2"], join_type="inner")
+        return j.select([id_col, "status"])
+
+    return ds.select_columns([id_col]).map_batches(
+        join, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def snapshot_diff(ds_old, ds_new, id_col: str = "doc_id",
@@ -184,13 +181,10 @@ def snapshot_diff(ds_old, ds_new, id_col: str = "doc_id",
         vt = pa.table({"ih1": pa.array([], pa.uint64()),
                        "ih2": pa.array([], pa.uint64()),
                        "status": pa.array([], pa.string())})
-    vref = ray.put(vt)
-    old_ids = ds_old.select_columns([id_col]).map_batches(
-        _MapBack, fn_constructor_args=(vref, ("removed",), id_col),
-        batch_format="pyarrow", zero_copy_batch=True, concurrency=(1, 8))
-    new_ids = ds_new.select_columns([id_col]).map_batches(
-        _MapBack, fn_constructor_args=(vref, ("added", "changed"), id_col),
-        batch_format="pyarrow", zero_copy_batch=True, concurrency=(1, 8))
+    old_ids = _map_back(ds_old, vt.filter(pc.equal(vt["status"], "removed")),
+                        id_col)
+    new_ids = _map_back(ds_new, vt.filter(pc.is_in(
+        vt["status"], value_set=pa.array(["added", "changed"]))), id_col)
     return old_ids.union(new_ids)
 
 

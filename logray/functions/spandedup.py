@@ -44,7 +44,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from logray.functions.fingerprint import content_hash
-from logray.stages.bucketing import grouped_apply
+from logray.stages.bucketing import grouped_apply, isin_sorted
 
 __all__ = ["dedup_spans", "dedup_spans_sql",
            "dedup_spans_bytes", "dedup_spans_bytes_sql"]
@@ -181,10 +181,7 @@ def _cut_words_fn(id_col: str, text_col: str, window: int, dup_ref):
         dup_sorted = ray.get(dup_ref)
         t, flat, parent, lengths = _doc_tokens(t, id_col, text_col)
         h1, _h2, starts = _gram_hashes(flat, lengths, window)
-        pos = np.searchsorted(dup_sorted, h1)
-        is_dup = (pos < len(dup_sorted)) & (dup_sorted[np.minimum(
-            pos, max(len(dup_sorted) - 1, 0))] == h1) if len(dup_sorted) \
-            else np.zeros(len(h1), np.bool_)
+        is_dup = isin_sorted(h1, dup_sorted)
         s = starts[is_dup]
         n_flat = len(flat)
         diff = np.zeros(n_flat + 1, np.int64)
@@ -399,10 +396,7 @@ def _cut_bytes_fn(id_col: str, text_col: str, window: int, dup_ref):
         dup_sorted = ray.get(dup_ref)
         t, flat, lengths = _doc_bytes(t, id_col, text_col)
         h1, _h2, starts = _byte_gram_hashes(flat, lengths, window)
-        pos = np.searchsorted(dup_sorted, h1)
-        is_dup = (pos < len(dup_sorted)) & (dup_sorted[np.minimum(
-            pos, max(len(dup_sorted) - 1, 0))] == h1) if len(dup_sorted) \
-            else np.zeros(len(h1), np.bool_)
+        is_dup = isin_sorted(h1, dup_sorted)
         s = starts[is_dup]
         n_flat = len(flat)
         diff = np.zeros(n_flat + 1, np.int64)

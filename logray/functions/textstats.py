@@ -38,8 +38,8 @@ def _word_hits_re(words: list[str]) -> str:
 
 
 class TextStatsBatch:
-    """Actor-pool stage: regex patterns "compiled" (strings precomputed)
-    once per actor; per-batch work is all RE2/Arrow kernels."""
+    """Batch stage: regex patterns "compiled" (strings precomputed) once
+    on the driver; per-batch work is all RE2/Arrow kernels."""
 
     def __init__(self, text_col: str = "text", langid: bool = True):
         self.text_col = text_col
@@ -107,17 +107,10 @@ class TextStatsBatch:
 
 
 def text_stats(ds, text_col: str = "text", langid: bool = True,
-               batch_size: int | None = None, concurrency=None):
+               batch_size: int | None = None):
     # batch_size=None: whole-block batches fuse the stage into the read
-    kwargs = dict(batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True)
-    if concurrency is not None:
-        return ds.map_batches(
-            TextStatsBatch,
-            fn_constructor_kwargs=dict(text_col=text_col, langid=langid),
-            concurrency=concurrency,
-            **kwargs,
-        )
-    return ds.map_batches(TextStatsBatch(text_col, langid), **kwargs)
+    return ds.map_batches(TextStatsBatch(text_col, langid), batch_format="pyarrow",
+                          batch_size=batch_size, zero_copy_batch=True)
 
 
 def lang_quality_sql(table: str, text_col: str = "text",

@@ -7,8 +7,8 @@ additions (taxonomy enrichment, fan-out sinks, exact aggregates).
 
 Execution shape (100-TB discipline):
 
-- ONE streaming scan, total: read -> normalize+parse (actor pool, compiled
-  format in actor state) -> enrich (broadcast dicts) -> route tag -> fused
+- ONE streaming scan, total: read -> normalize+parse (format compiled
+  once on the driver) -> enrich (broadcast dicts) -> route tag -> fused
   write+summarize (each batch writes its ``route=<name>/`` Parquet files
   and emits metric partials);
 - the aggregates (rows per route, role/tool histograms, turns per
@@ -48,7 +48,6 @@ class PipelineConfig:
     # None = whole-block batches; keeps the read->parse->enrich->route->write
     # chain ONE fused operator (see stages/parse.py::parse_stage)
     parse_batch_size: int | None = None
-    parse_concurrency: int | tuple | None = None
 
     def build_router(self) -> Router:
         fmt = LineFormat.from_format_string(self.format_string)
@@ -68,7 +67,6 @@ def build(ds, cfg: PipelineConfig):
         text_col=cfg.text_col,
         normalize=cfg.normalize,
         batch_size=cfg.parse_batch_size,
-        concurrency=cfg.parse_concurrency,
     )
     if cfg.enrich:
         ds = enrich_stage(ds, batch_size=cfg.parse_batch_size)
@@ -160,7 +158,7 @@ def run_pipeline_resumable(input_path: str, cfg: PipelineConfig, out_dir: str) -
 
     from logray.state.manifest import check_run_config, run_resumable
 
-    # semantic parameters only: execution knobs (batch size, concurrency)
+    # semantic parameters only: execution knobs (the batch size)
     # don't change the output, so retuning them may resume freely
     check_run_config(out_dir, {
         "op": "flagship",

@@ -33,6 +33,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import ray
 
+from logray.stages.bucketing import isin_sorted
 from logray.state.manifest import publish
 
 __all__ = ["read_warc", "write_warc", "read_warc_cdx",
@@ -349,14 +350,11 @@ def read_warc_select(path, urls=None, **read_kwargs):
         want_ref = ray.put(np.array(wanted, dtype=object))
 
         def keep(t: pa.Table) -> pa.Table:
-            w = ray.get(want_ref)
             u = t["url"]
             if isinstance(u, pa.ChunkedArray):
                 u = u.combine_chunks()
-            uv = u.to_numpy(zero_copy_only=False)
-            pos = np.searchsorted(w, uv)
-            hit = pos < len(w)
-            hit[hit] = w[pos[hit]] == uv[hit]
+            hit = isin_sorted(u.to_numpy(zero_copy_only=False),
+                              ray.get(want_ref))
             return t.filter(pa.array(hit))
 
         idx = idx.map_batches(keep, batch_format="pyarrow",

@@ -17,6 +17,9 @@
   reduce on plain Ray tasks (no Ray ``groupby`` sort), its reduce-task
   count set by the one sizing rule :func:`reduce_tasks`, and it is
   EAGER: the input runs when the exchange is called.
+- :func:`isin_sorted` — the ONE sorted-array membership probe (one
+  ``searchsorted`` per query batch against a broadcast or per-shard
+  sorted index), shared by every broadcast id/hash filter.
 - :func:`stream_fold` — the bounded-memory driver fold: stream partial
   batches, re-fold whenever the pending buffer passes ``max_pending_rows``
   (memory stays O(distinct keys), the pull overlaps distributed
@@ -163,6 +166,18 @@ def run_starts(keys: np.ndarray) -> np.ndarray:
         na = pd.isna(keys)
         mask[1:] = (keys[1:] != keys[:-1]) & ~(na[1:] & na[:-1])
     return mask
+
+
+def isin_sorted(values: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """``np.isin(values, index)`` for an ascending ``index`` (duplicates
+    allowed): one ``searchsorted``, no sort of ``values``.  Both arrays
+    must share a dtype (a uint64/int64 mix would compare in float64)."""
+    if not len(index):
+        return np.zeros(len(values), np.bool_)
+    pos = np.searchsorted(index, values)
+    hit = pos < len(index)
+    hit[hit] = index[pos[hit]] == values[hit]
+    return hit
 
 
 def stream_fold(partials_ds, fold_fn, max_pending_rows: int = 4_000_000):

@@ -3,9 +3,10 @@
 The reference has no join operator — its only lookup is a driver-side config
 dict (ConfigHandler.cpp:206-218).  The north rule adds role/tool taxonomy
 enrichment; dimension tables are tiny, so this is a **broadcast map-join**:
-the dict is ``ray.put`` once on the driver, each actor fetches it in
-``__init__``, and the per-batch join is a vectorized ``pc.index_in`` + take —
-never a shuffle.
+the dicts are resolved once on the driver in ``EnrichBatch.__init__`` and
+ship inside the fused task (Ray puts the task's callable in the object
+store once), and the per-batch join is a vectorized ``pc.index_in`` +
+take — never a shuffle.
 """
 
 from __future__ import annotations
@@ -43,12 +44,11 @@ def _lookup(col, mapping: dict, default: str = UNKNOWN):
 
 
 class EnrichBatch:
-    """Actor-pool enrichment: dimension dicts resolved once per actor.
+    """Batch enrichment: dimension dicts resolved once, on the driver.
 
-    ``mappings`` is {new_col: (source_col, dict_or_objectref)}.  Pass object
-    refs (``ray.put(dict)``) for cluster runs so each actor reads the
-    broadcast copy from the object store instead of re-shipping the dict
-    with every task."""
+    ``mappings`` is {new_col: (source_col, dict_or_objectref)}; an object
+    ref (``ray.put(dict)``) is fetched here, and the resolved dicts ship
+    with the callable."""
 
     def __init__(self, mappings=None, default: str = UNKNOWN):
         import ray
@@ -74,13 +74,6 @@ class EnrichBatch:
         return table
 
 
-def enrich_stage(ds, mappings=None, batch_size: int | None = None, concurrency=None):
-    kwargs = dict(batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True)
-    if concurrency is not None:
-        return ds.map_batches(
-            EnrichBatch,
-            fn_constructor_kwargs=dict(mappings=mappings),
-            concurrency=concurrency,
-            **kwargs,
-        )
-    return ds.map_batches(EnrichBatch(mappings), **kwargs)
+def enrich_stage(ds, mappings=None, batch_size: int | None = None):
+    return ds.map_batches(EnrichBatch(mappings), batch_format="pyarrow",
+                          batch_size=batch_size, zero_copy_batch=True)

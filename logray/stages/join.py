@@ -34,43 +34,34 @@ def broadcast_join(ds, small, on, how: str = "inner", batch_size: int | None = N
     """Join `ds` against a small pandas DataFrame / Arrow table (or
     ray.ObjectRef of one) broadcast to every worker.
 
-    Arrow-native: the small side is converted to a ``pa.Table`` ONCE in the
-    actor's ``__init__`` and each batch is joined with ``pa.Table.join``
-    (an Arrow hash join) — the stage stays ``batch_format="pyarrow"``
-    end-to-end with no per-batch pandas conversion.  Output row order
-    within a batch is not guaranteed (hash-join semantics)."""
+    Arrow-native: the small side is converted to a ``pa.Table`` ONCE on
+    the driver and ``ray.put``; each batch reads it zero-copy inside a
+    plain fused task and joins with ``pa.Table.join`` (an Arrow hash
+    join) — the stage stays ``batch_format="pyarrow"`` end-to-end with no
+    per-batch pandas conversion.  Output row order within a batch is not
+    guaranteed (hash-join semantics)."""
+    import ray
+
     keys = [on] if isinstance(on, str) else list(on)
     if how not in _ARROW_JOIN_TYPE:
         raise ValueError(
             f"broadcast_join supports how in {sorted(_ARROW_JOIN_TYPE)}; "
             f"{how!r} needs both sides shuffled — use hash_join")
     join_type = _ARROW_JOIN_TYPE[how]
+    if isinstance(small, ray.ObjectRef):
+        small = ray.get(small)
+    if isinstance(small, pd.DataFrame):
+        small = pa.Table.from_pandas(small, preserve_index=False)
+    elif not isinstance(small, pa.Table):
+        small = pa.table(small)
+    ref = ray.put(small)
 
-    class Merge:
-        def __init__(self, small_ref):
-            import ray
+    def merge(t: pa.Table) -> pa.Table:
+        return t.join(ray.get(ref), keys=keys, join_type=join_type,
+                      right_suffix="_right")
 
-            s = small_ref
-            if isinstance(s, ray.ObjectRef):
-                s = ray.get(s)
-            if isinstance(s, pd.DataFrame):
-                s = pa.Table.from_pandas(s, preserve_index=False)
-            elif not isinstance(s, pa.Table):
-                s = pa.table(s)
-            self.small = s
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            return t.join(self.small, keys=keys, join_type=join_type,
-                          right_suffix="_right")
-
-    return ds.map_batches(
-        Merge,
-        fn_constructor_kwargs=dict(small_ref=small),
-        batch_format="pyarrow",
-        batch_size=batch_size,
-        zero_copy_batch=True,
-        concurrency=(1, 8),
-    )
+    return ds.map_batches(merge, batch_format="pyarrow",
+                          batch_size=batch_size, zero_copy_batch=True)
 
 
 def broadcast_semi_join(ds, keys, on: str, anti: bool = False):
@@ -78,8 +69,9 @@ def broadcast_semi_join(ds, keys, on: str, anti: bool = False):
     ``keys``) or anti join (``anti=True``: keep rows whose value does NOT).
 
     ``keys`` is a small Dataset (its distinct ``on``/single column is
-    collected once), a list, or a ``ray.ObjectRef``; membership is tested
-    per batch with a vectorized ``pc.is_in`` against the broadcast set —
+    collected once), a list, or a ``ray.ObjectRef``; it becomes one
+    null-free ``pa.Array`` on the driver, and membership is tested per
+    batch with a vectorized ``pc.is_in`` against the broadcast set —
     no shuffle (the generalization of the dedup drop-set filter).
 
     Null handling: null PROBE keys drop in both directions (SQL IN /
@@ -91,29 +83,23 @@ def broadcast_semi_join(ds, keys, on: str, anti: bool = False):
     if hasattr(keys, "unique"):
         col = keys.schema().names[0]
         keys = keys.unique(col)
-    if not isinstance(keys, ray.ObjectRef):
-        keys = ray.put(list(keys))
+    if isinstance(keys, ray.ObjectRef):
+        keys = ray.get(keys)
+    arr = keys if isinstance(keys, pa.Array) else pa.array(list(keys))
+    ref = ray.put(arr.drop_null())
 
-    class Filter:
-        def __init__(self, ref):
-            vals = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-            arr = pa.array(vals)
-            self.value_set = arr.drop_null() if arr.null_count else arr
-            self._cast_set = None  # resolved to the probe type on first batch
+    def semi(t: pa.Table) -> pa.Table:
+        value_set = ray.get(ref)
+        if value_set.type != t[on].type:
+            value_set = value_set.cast(t[on].type)
+        m = pc.is_in(t[on], value_set=value_set)
+        if anti:
+            m = pc.invert(m)
+        # Arrow's is_in maps null -> False, so gate validity explicitly
+        m = pc.and_(pc.fill_null(m, False), pc.is_valid(t[on]))
+        return t.filter(m)
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            if self._cast_set is None:
-                self._cast_set = self.value_set.cast(t[on].type)
-            m = pc.is_in(t[on], value_set=self._cast_set)
-            if anti:
-                m = pc.invert(m)
-            # Arrow's is_in maps null -> False, so gate validity explicitly
-            m = pc.and_(pc.fill_null(m, False), pc.is_valid(t[on]))
-            return t.filter(m)
-
-    return ds.map_batches(Filter, fn_constructor_kwargs=dict(ref=keys),
-                          batch_format="pyarrow", zero_copy_batch=True,
-                          concurrency=(1, 8))
+    return ds.map_batches(semi, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def broadcast_anti_join(ds, keys, on: str):
@@ -412,49 +398,41 @@ def range_join(left, right_intervals, value_col: str, lo_col: str = "lo",
     df = right_intervals if isinstance(right_intervals, pd.DataFrame) else right_intervals.to_pandas()
     df = df.sort_values(lo_col).reset_index(drop=True)
     non_overlapping = bool((df[hi_col].iloc[:-1].to_numpy() <= df[lo_col].iloc[1:].to_numpy()).all()) if len(df) > 1 else True
-    ref = ray.put(df)
+    ref = ray.put((pa.Table.from_pandas(df, preserve_index=False),
+                   df[lo_col].to_numpy(), df[hi_col].to_numpy()))
 
-    class Assign:
-        def __init__(self, r):
-            self.iv = ray.get(r) if isinstance(r, ray.ObjectRef) else r
-            self.iv_types = {
-                f.name: f.type for f in pa.Table.from_pandas(self.iv).schema
-            }
+    def assign(t: pa.Table) -> pa.Table:
+        iv, lo, hi = ray.get(ref)
+        v = t[value_col].to_numpy(zero_copy_only=False)
+        if non_overlapping:
+            idx = np.searchsorted(lo, v, side="right") - 1
+            ok = (idx >= 0) & (v < hi[np.maximum(idx, 0)])
+            parts = [(ok, np.maximum(idx, 0))]
+        else:
+            parts = [((v >= lo[i]) & (v < hi[i]), np.full(len(v), i)) for i in range(len(lo))]
+        out = [_append_columns(t.filter(pa.array(ok)), iv.take(idx[ok]))
+               for ok, idx in parts]
+        matched = np.logical_or.reduce([ok for ok, _ in parts])
+        if how == "left" and not matched.all():
+            un = t.filter(pa.array(~matched))
+            out.append(_append_columns(un, _null_rows(iv, un.num_rows)))
+        return pa.concat_tables(out, promote_options="permissive")
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            v = t[value_col].to_numpy(zero_copy_only=False)
-            lo = self.iv[lo_col].to_numpy()
-            hi = self.iv[hi_col].to_numpy()
-            if non_overlapping:
-                idx = np.searchsorted(lo, v, side="right") - 1
-                ok = (idx >= 0) & (v < hi[np.maximum(idx, 0)])
-                parts = [(ok, np.maximum(idx, 0))]
-            else:
-                parts = [((v >= lo[i]) & (v < hi[i]), np.full(len(v), i)) for i in range(len(lo))]
-            out = []
-            matched = np.zeros(len(v), bool)
-            for ok, idx in parts:
-                matched |= ok
-                sel = t.filter(pa.array(ok))
-                ivrows = self.iv.iloc[idx[ok]].reset_index(drop=True)
-                for c in self.iv.columns:
-                    sel = sel.append_column(c, pa.array(ivrows[c]))
-                out.append(sel)
-            if how == "left" and not matched.all():
-                un = t.filter(pa.array(~matched))
-                for c in self.iv.columns:
-                    un = un.append_column(c, pa.nulls(un.num_rows, self.iv_types[c]))
-                out.append(un)
-            if not out:
-                empty = t.slice(0, 0)
-                for c in self.iv.columns:
-                    empty = empty.append_column(c, pa.nulls(0, self.iv_types[c]))
-                return empty
-            return pa.concat_tables(out, promote_options="permissive")
+    return left.map_batches(assign, batch_format="pyarrow",
+                            batch_size=batch_size)
 
-    return left.map_batches(Assign, fn_constructor_kwargs=dict(r=ref),
-                            batch_format="pyarrow", batch_size=batch_size,
-                            concurrency=(1, 8))
+
+def _append_columns(t: pa.Table, cols: pa.Table) -> pa.Table:
+    """``t`` with every column of the row-aligned ``cols`` appended."""
+    for name, col in zip(cols.column_names, cols.columns):
+        t = t.append_column(name, col)
+    return t
+
+
+def _null_rows(iv: pa.Table, n: int) -> pa.Table:
+    """``n`` all-null rows of ``iv``'s columns (a left join's misses)."""
+    return pa.table([pa.nulls(n, f.type) for f in iv.schema],
+                    names=iv.column_names)
 
 
 def interval_overlap_join(left, right_intervals, start_col: str, end_col: str,
@@ -502,75 +480,58 @@ def interval_overlap_join(left, right_intervals, start_col: str, end_col: str,
     _hi = df[hi_col].to_numpy()
     fast = (not df[lo_col].isna().any() and not df[hi_col].isna().any()
             and bool((_hi[:-1] <= _hi[1:]).all()))
-    ref = ray.put(df)
+    ref = ray.put((pa.Table.from_pandas(df, preserve_index=False),
+                   df[lo_col].to_numpy(), df[hi_col].to_numpy()))
 
-    class Assign:
-        def __init__(self, r):
-            self.iv = ray.get(r) if isinstance(r, ray.ObjectRef) else r
-            self.iv_types = {
-                f.name: f.type for f in pa.Table.from_pandas(self.iv).schema
-            }
+    def append_iv(t: pa.Table, iv: pa.Table, jidx: np.ndarray) -> pa.Table:
+        dup = set(iv.column_names) & set(t.column_names)
+        if dup:
+            raise ValueError(
+                f"interval_overlap_join: interval columns {sorted(dup)} "
+                f"collide with left columns — rename one side")
+        return _append_columns(t, iv.take(jidx))
 
-        def _append_iv(self, t: pa.Table, jidx: np.ndarray) -> pa.Table:
-            dup = set(self.iv.columns) & set(t.column_names)
-            if dup:
-                raise ValueError(
-                    f"interval_overlap_join: interval columns {sorted(dup)} "
-                    f"collide with left columns — rename one side")
-            ivrows = self.iv.iloc[jidx].reset_index(drop=True)
-            for c in self.iv.columns:
-                t = t.append_column(c, pa.array(ivrows[c]))
-            return t
+    def assign(t: pa.Table) -> pa.Table:
+        iv, lo, hi = ray.get(ref)
+        # keep native dtypes: int-vs-int comparisons stay exact;
+        # nulls surface as NaN (pyarrow promotes to float) and a
+        # float dtype is the only case that can carry them
+        s = t[start_col].to_numpy(zero_copy_only=False)
+        e = t[end_col].to_numpy(zero_copy_only=False)
+        n = len(s)
+        out, matched = [], np.zeros(n, bool)
+        if fast:
+            # interval j overlaps iff hi[j] > s (j >= jmin, hi asc)
+            # and lo[j] < e (j <= jmax, lo asc): a contiguous run.
+            jmin = np.searchsorted(hi, s, side="right")
+            jmax = np.searchsorted(lo, e, side="left") - 1
+            valid = np.ones(n, bool)
+            for arr in (s, e):
+                if np.issubdtype(arr.dtype, np.floating):
+                    valid &= ~np.isnan(arr)
+            cnt = np.where(valid, np.maximum(jmax - jmin + 1, 0), 0)
+            matched = cnt > 0
+            total = int(cnt.sum())
+            if total:
+                row_idx = np.repeat(np.arange(n, dtype=np.int64), cnt)
+                starts = np.concatenate([[0], np.cumsum(cnt)[:-1]])
+                pos = np.arange(total, dtype=np.int64) - np.repeat(starts, cnt)
+                jidx = np.repeat(jmin, cnt) + pos
+                out.append(append_iv(t.take(pa.array(row_idx)), iv, jidx))
+        else:
+            for i in range(len(lo)):
+                ok = (s < hi[i]) & (e > lo[i])
+                matched |= ok
+                if ok.any():
+                    sel = t.filter(pa.array(ok))
+                    out.append(append_iv(
+                        sel, iv, np.full(sel.num_rows, i, dtype=np.int64)))
+        if how == "left" and not matched.all():
+            un = t.filter(pa.array(~matched))
+            out.append(_append_columns(un, _null_rows(iv, un.num_rows)))
+        if not out:
+            return _append_columns(t.slice(0, 0), iv.slice(0, 0))
+        return pa.concat_tables(out, promote_options="permissive")
 
-        def __call__(self, t: pa.Table) -> pa.Table:
-            # keep native dtypes: int-vs-int comparisons stay exact;
-            # nulls surface as NaN (pyarrow promotes to float) and a
-            # float dtype is the only case that can carry them
-            s = t[start_col].to_numpy(zero_copy_only=False)
-            e = t[end_col].to_numpy(zero_copy_only=False)
-            lo = self.iv[lo_col].to_numpy()
-            hi = self.iv[hi_col].to_numpy()
-            n = len(s)
-            out, matched = [], np.zeros(n, bool)
-            if fast:
-                # interval j overlaps iff hi[j] > s (j >= jmin, hi asc)
-                # and lo[j] < e (j <= jmax, lo asc): a contiguous run.
-                jmin = np.searchsorted(hi, s, side="right")
-                jmax = np.searchsorted(lo, e, side="left") - 1
-                valid = np.ones(n, bool)
-                for arr in (s, e):
-                    if np.issubdtype(arr.dtype, np.floating):
-                        valid &= ~np.isnan(arr)
-                cnt = np.where(valid, np.maximum(jmax - jmin + 1, 0), 0)
-                matched = cnt > 0
-                total = int(cnt.sum())
-                if total:
-                    row_idx = np.repeat(np.arange(n, dtype=np.int64), cnt)
-                    starts = np.concatenate([[0], np.cumsum(cnt)[:-1]])
-                    pos = np.arange(total, dtype=np.int64) - np.repeat(starts, cnt)
-                    jidx = np.repeat(jmin, cnt) + pos
-                    out.append(self._append_iv(t.take(pa.array(row_idx)), jidx))
-            else:
-                for i in range(len(lo)):
-                    ok = (s < hi[i]) & (e > lo[i])
-                    matched |= ok
-                    if ok.any():
-                        sel = t.filter(pa.array(ok))
-                        out.append(self._append_iv(
-                            sel, np.full(sel.num_rows, i, dtype=np.int64)))
-            if how == "left" and not matched.all():
-                un = t.filter(pa.array(~matched))
-                for c in self.iv.columns:
-                    un = un.append_column(c, pa.nulls(un.num_rows,
-                                                      self.iv_types[c]))
-                out.append(un)
-            if not out:
-                empty = t.slice(0, 0)
-                for c in self.iv.columns:
-                    empty = empty.append_column(c, pa.nulls(0, self.iv_types[c]))
-                return empty
-            return pa.concat_tables(out, promote_options="permissive")
-
-    return left.map_batches(Assign, fn_constructor_kwargs=dict(r=ref),
-                            batch_format="pyarrow", batch_size=batch_size,
-                            concurrency=(1, 8))
+    return left.map_batches(assign, batch_format="pyarrow",
+                            batch_size=batch_size)

@@ -1,10 +1,10 @@
-"""Parse stage: the schema-driven extractor as a Ray Data actor-pool stage.
+"""Parse stage: the schema-driven extractor as a fused Ray Data task.
 
 The reference compiles a format string once and reuses the instruction vector
 per line (filtered_file_reader.cpp:103-106); here the compiled
-:class:`~logray.vparse.VectorParser` lives in actor state — built once per
-actor in ``__init__``, applied per Arrow batch in ``__call__`` — via
-``ds.map_batches(ParseBatch, batch_format="pyarrow", concurrency=N)``.
+:class:`~logray.vparse.VectorParser` is built once on the driver in
+``ParseBatch.__init__`` and applied per Arrow batch in ``__call__`` via
+``ds.map_batches(ParseBatch(fmt), batch_format="pyarrow")``.
 Each batch is one call into the compiled line scanner (``logray/scan.c``),
 or into the numpy interpreter where no compiler is available
 (``ParseBatch(...).vp.path`` says which).  A ``ParseBatch`` holds only
@@ -32,11 +32,11 @@ def normalize_text(table: pa.Table, text_col: str = "text") -> pa.Table:
 
 
 class ParseBatch:
-    """Callable-class batch parser for ``map_batches`` actor pools.
+    """Callable-class batch parser for ``map_batches``.
 
-    ``__init__`` (once per actor) compiles the format string; ``__call__``
-    (per batch) runs the parser and appends the extracted field columns +
-    ``well_formatted``.
+    ``__init__`` (once, on the driver) compiles the format string;
+    ``__call__`` (per batch) runs the parser and appends the extracted
+    field columns + ``well_formatted``.
     """
 
     def __init__(self, format_string: str, text_col: str = "text", normalize: bool = False):
@@ -57,13 +57,8 @@ def parse_stage(
     text_col: str = "text",
     normalize: bool = False,
     batch_size: int | None = None,
-    concurrency=None,
 ):
     """``ds`` -> parsed ``ds`` with field columns + well_formatted appended.
-
-    With ``concurrency`` set this runs as an actor pool (compiled format in
-    actor state); otherwise as stateless tasks where each worker process
-    still compiles the format only once per task.
 
     ``batch_size=None`` (default) processes whole blocks as batches: this
     lets Ray fuse the stage INTO the upstream read operator (an explicit
@@ -72,15 +67,6 @@ def parse_stage(
     vectorized parser is fastest on large batches anyway.  Blocks are
     bounded by the read's target block size; the parser guards the 2 GiB
     pathological case explicitly."""
-    kwargs = dict(batch_format="pyarrow", batch_size=batch_size, zero_copy_batch=True)
-    if concurrency is not None:
-        return ds.map_batches(
-            ParseBatch,
-            fn_constructor_kwargs=dict(
-                format_string=format_string, text_col=text_col, normalize=normalize
-            ),
-            concurrency=concurrency,
-            **kwargs,
-        )
     parser = ParseBatch(format_string, text_col, normalize)
-    return ds.map_batches(parser, **kwargs)
+    return ds.map_batches(parser, batch_format="pyarrow", batch_size=batch_size,
+                          zero_copy_batch=True)

@@ -257,7 +257,7 @@ def parse_dbl_value_at(cidx: _ClassIndex, p: np.ndarray, e: np.ndarray):
 class VectorParser:
     """Compiled, reusable batch parser for one :class:`LineFormat`.
 
-    Build once (per actor / per worker), call :meth:`parse_table` per batch.
+    Build once, call :meth:`parse_table` per batch.
     """
 
     def __init__(self, fmt: LineFormat, enable_re2: bool = True) -> None:

@@ -240,23 +240,6 @@ def test_run_pipeline_resumable_api(ray_session, tmp_path):
     assert m2 == m1
 
 
-def test_pipeline_actor_pool_parse(ray_session, tmp_path):
-    """parse_concurrency turns the parse stage into an actor pool; results
-    must be identical to the stateless-task path."""
-    import ray.data as rd
-
-    from dataclasses import replace
-
-    table = synth_transcripts_table(n_convs=25, seed=13)
-    cfg_pool = replace(CFG, parse_concurrency=2)
-    # several input blocks, so the two-actor pool really runs two actors
-    ds = rd.from_arrow(table).repartition(4)
-    m = run_pipeline(ds, cfg_pool, str(tmp_path), write_metrics=False)
-    want = _expected_counts(table)
-    assert m["routes"]["info"] == want["info"]
-    assert m["turns_total"] == table.num_rows
-
-
 def test_assign_turn_idx_sorted_straddles_blocks(ray_session):
     """Vectorized turn_idx must equal the per-group rank even when a hot
     conversation straddles many sorted blocks."""
@@ -504,13 +487,11 @@ def test_resumable_concurrent_fails_fast(ray_session, tmp_path):
     assert len(good_ran) == n  # nothing was committed by the bad run
 
 
-@pytest.mark.parametrize("parse_concurrency", [None, 2], ids=["tasks", "parse_actor_pool"])
-def test_route_sinks_exact_under_worker_kill(ray_session, tmp_path, parse_concurrency):
+def test_route_sinks_exact_under_worker_kill(ray_session, tmp_path):
     """A sink worker killed right after its write is retried by Ray. The
     retry rewrites the same file names, so the sinks hold exactly the
     reported rows, in the same files as a clean run."""
     from collections import Counter
-    from dataclasses import replace
 
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
@@ -520,7 +501,6 @@ def test_route_sinks_exact_under_worker_kill(ray_session, tmp_path, parse_concur
     from logray.stages.aggregate import fold_partials_stream
     from logray.stages.route import RouteSinkWriter
 
-    cfg = replace(CFG, parse_concurrency=parse_concurrency)
     table = synth_transcripts_table(n_convs=40, seed=21)
     step = -(-table.num_rows // 4)
     marker = str(tmp_path / "kill-marker")
@@ -537,7 +517,7 @@ def test_route_sinks_exact_under_worker_kill(ray_session, tmp_path, parse_concur
     def run(writer_cls, name):
         sink = tmp_path / name
         ds = rd.from_arrow([table.slice(i, step) for i in range(0, table.num_rows, step)])
-        folded = fold_partials_stream(build(ds, cfg).map_batches(
+        folded = fold_partials_stream(build(ds, CFG).map_batches(
             writer_cls(str(sink), ["route"], ts_col=None), batch_format="pyarrow"))
         rc = folded.filter(pc.equal(folded["metric"], "route"))
         reported = dict(zip(rc["key"].to_pylist(), rc["n"].to_pylist()))
