@@ -266,11 +266,11 @@ def _q_revenue_by_nation(sf_dir: str):
     shuffles); orders are date-pruned AT THE READ (row-group predicate
     pushdown); the only all-to-all exchanges are the two unavoidable
     large-large hash joins (orders x customer, lineitem x that), both on
-    pruned narrow projections.  The second join runs on the explicit
-    bucketed task path: two builtin JoinOperator actor pools in one
-    pipeline starve each other under small CPU budgets (each pool wants
-    its own aggregator actors).  Revenue is exact integer arithmetic:
-    cents * (100 - discount_bp), summed as int64."""
+    pruned narrow projections and both on the bucket exchange's plain
+    tasks.  The supplier lookup is a ``ray.put`` value read inside a
+    plain fused task, so the query needs no actor and finishes on a
+    1-CPU Ray.  Revenue is exact integer arithmetic: cents * (100 -
+    discount_bp), summed as int64."""
     import ray
     import ray.data as rd
     from ray.data.aggregate import Sum
@@ -302,35 +302,28 @@ def _q_revenue_by_nation(sf_dir: str):
     ord_cust = hash_join(orders, customer, on="o_custkey",
                          right_on="c_custkey").drop_columns(["o_custkey"])
 
-    class SupplierSide:
-        def __init__(self, ref):
-            m = ray.get(ref) if isinstance(ref, ray.ObjectRef) else ref
-            self.keys, self.nat, self.name = (m["s_suppkey"],
-                                              m["s_nationkey"], m["n_name"])
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            idx = pc.index_in(t["l_suppkey"], value_set=self.keys)
-            keep = pc.is_valid(idx)
-            t, idx = t.filter(keep), idx.filter(keep)
-            ii = idx.to_numpy(zero_copy_only=False).astype(np.int64)
-            cents = pc.cast(pc.round(pc.multiply(t["l_extendedprice"], 100.0)),
-                            pa.int64())
-            bp = pc.cast(pc.round(pc.multiply(t["l_discount"], 100.0)),
-                         pa.int64())
-            rev = pc.multiply(cents, pc.subtract(pa.scalar(100, pa.int64()), bp))
-            return pa.table({
-                "l_orderkey": t["l_orderkey"],
-                "s_nationkey": pa.array(self.nat[ii]),
-                "n_name": pa.array(self.name[ii]),
-                "rev_c4": rev,
-            })
+    def supplier_side(t: pa.Table) -> pa.Table:
+        m = ray.get(sup_ref)
+        idx = pc.index_in(t["l_suppkey"], value_set=m["s_suppkey"])
+        keep = pc.is_valid(idx)
+        t, idx = t.filter(keep), idx.filter(keep)
+        ii = idx.to_numpy(zero_copy_only=False).astype(np.int64)
+        cents = pc.cast(pc.round(pc.multiply(t["l_extendedprice"], 100.0)),
+                        pa.int64())
+        bp = pc.cast(pc.round(pc.multiply(t["l_discount"], 100.0)),
+                     pa.int64())
+        rev = pc.multiply(cents, pc.subtract(pa.scalar(100, pa.int64()), bp))
+        return pa.table({
+            "l_orderkey": t["l_orderkey"],
+            "s_nationkey": pa.array(m["s_nationkey"][ii]),
+            "n_name": pa.array(m["n_name"][ii]),
+            "rev_c4": rev,
+        })
 
     line = rd.read_parquet(
         f"{sf_dir}/lineitem.parquet",
         columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
-    ).map_batches(SupplierSide, fn_constructor_kwargs=dict(ref=sup_ref),
-                  batch_format="pyarrow", zero_copy_batch=True,
-                  concurrency=(1, 8))
+    ).map_batches(supplier_side, batch_format="pyarrow", zero_copy_batch=True)
 
     joined = _bucketed_join(line, ord_cust, ("l_orderkey",), ("o_orderkey",),
                             "inner", 16)
@@ -2963,31 +2956,21 @@ def _q_anomaly_flags(sf_dir: str):
     ds = _cents_stage(ds)
     q = grouped_quantiles(ds, "event_type", "cents", [0.99]).to_pandas()
     thresh = dict(zip(q["event_type"], q["value"]))
-    ref = ray.put(thresh)
+    ref = ray.put((pa.array(list(thresh)),
+                   np.array(list(thresh.values()), np.int64)))
 
-    class Flag:
-        def __init__(self, r):
-            d = ray.get(r) if isinstance(r, ray.ObjectRef) else r
-            self.keys = pa.array(list(d))
-            import numpy as np
+    def flag(t: pa.Table) -> pa.Table:
+        keys, vals = ray.get(ref)
+        idx = pc.index_in(t["event_type"], value_set=keys)
+        # types absent from the threshold table (null event_type, or
+        # all-null groups) index as null — the SQL JOIN drops them
+        ok = pc.is_valid(idx)
+        safe = pc.fill_null(idx, 0).to_numpy(zero_copy_only=False)
+        thr = vals[np.asarray(safe, np.int64)]
+        keep = pc.and_kleene(ok, pc.greater(t["cents"], pa.array(thr)))
+        return t.filter(pc.fill_null(keep, False)).select(["event_id"])
 
-            self.vals = np.array(list(d.values()), np.int64)
-
-        def __call__(self, t: pa.Table) -> pa.Table:
-            idx = pc.index_in(t["event_type"], value_set=self.keys)
-            # types absent from the threshold table (null event_type, or
-            # all-null groups) index as null — the SQL JOIN drops them
-            import numpy as np
-
-            ok = pc.is_valid(idx)
-            safe = pc.fill_null(idx, 0).to_numpy(zero_copy_only=False)
-            thr = self.vals[np.asarray(safe, np.int64)]
-            keep = pc.and_kleene(ok, pc.greater(t["cents"], pa.array(thr)))
-            return t.filter(pc.fill_null(keep, False)).select(["event_id"])
-
-    return ds.map_batches(Flag, fn_constructor_kwargs=dict(r=ref),
-                          batch_format="pyarrow", concurrency=(1, 4)
-                          ).to_pandas()
+    return ds.map_batches(flag, batch_format="pyarrow").to_pandas()
 
 
 def _q_gap_histogram(sf_dir: str):

@@ -418,7 +418,8 @@ def cmd_extract_html(args) -> int:
 
 def cmd_snapshot_diff(args) -> int:
     """added/removed/changed doc ids between two corpus snapshots
-    (narrow 128-bit fingerprint compare; text never shuffles)."""
+    (ids + 128-bit text fingerprints meet in one exchange; text never
+    shuffles)."""
     _init_ray(args.num_cpus)
     import ray.data as rd
 

@@ -186,6 +186,44 @@ def _kmeans(sample: np.ndarray, k: int, iters: int = 12, seed: int = 11) -> np.n
     return centroids
 
 
+def _quantizer_sample(ds, emb_col: str, id_col: str, train_sample: int,
+                      seed: int) -> np.ndarray:
+    """The IVF quantizer's training rows as a float64 matrix, the same
+    rows in the same order on every call.  With integer ids: the
+    ``train_sample`` rows with the smallest ``(_det_hash(id), id)`` (a
+    deterministic uniform draw; a first-rows ``limit()`` is biased when
+    the corpus is ordered).  Otherwise (non-integer or negative ids, a
+    seed outside the hash's ``[0, 2**30)``, or an empty draw): the first
+    ``train_sample`` rows in input order."""
+    from logray.functions.sample import _det_hash, sample_uniform
+
+    sch = ds.schema()
+    id_type = dict(zip(sch.names, sch.types)).get(id_col)
+    rows = []
+    if (id_type is not None and pa.types.is_integer(id_type)
+            and 0 <= seed < (1 << 30)):
+        try:
+            # oversample by 1.25 so the bottom-k has ~train_sample rows
+            p = min(1.0, (train_sample * 1.25) / max(ds.count(), 1))
+            rows = sample_uniform(ds.select_columns([id_col, emb_col]), p,
+                                  id_col, seed=seed).take_all()
+        except Exception:
+            rows = []  # _det_hash rejects negative ids inside the map task
+    if rows:
+        ids = np.array([r[id_col] for r in rows], np.int64)
+        rows = [rows[i] for i in
+                np.lexsort((ids, _det_hash(ids, seed)))[:train_sample]]
+    else:
+        head = ds.limit(train_sample)
+        opts = head.context.execution_options
+        was, opts.preserve_order = opts.preserve_order, True
+        try:
+            rows = head.take_all()
+        finally:
+            opts.preserve_order = was
+    return np.stack([np.asarray(r[emb_col], np.float64) for r in rows])
+
+
 def ann_ivf_topk(ds, queries: dict, k: int = 10, n_lists: int = 16, nprobe: int = 2,
                  train_sample: int = 2048, emb_col: str = "embedding",
                  id_col: str = "vec_id", seed: int = 11,
@@ -197,28 +235,8 @@ def ann_ivf_topk(ds, queries: dict, k: int = 10, n_lists: int = 16, nprobe: int 
     lists."""
     import ray
 
-    # deterministic hash-based uniform sample for the quantizer (a limit()
-    # takes the FIRST rows — biased when the corpus is ordered/clustered);
-    # the hash sampler needs an integer id, so non-integer ids keep the
-    # plain limit() path rather than crashing
-    from logray.functions.sample import sample_uniform
-
-    sample_rows = []
-    sch = ds.schema()
-    id_type = dict(zip(sch.names, sch.types)).get(id_col)
-    if id_type is not None and pa.types.is_integer(id_type) and seed < (1 << 30):
-        try:
-            n_total = ds.count()
-            p = min(1.0, (train_sample * 1.25) / max(n_total, 1))
-            sample_rows = sample_uniform(ds, p, id_col, seed=seed).limit(train_sample).take_all()
-        except Exception:
-            # e.g. negative ids reject inside sample_uniform's _det_hash —
-            # honor the documented fallback instead of crashing the map task
-            sample_rows = []
-    if not sample_rows:
-        sample_rows = ds.limit(train_sample).take_all()
-    sample = np.stack([np.asarray(r[emb_col], np.float64) for r in sample_rows])
-    centroids = _kmeans(sample, n_lists, seed=seed)
+    centroids = _kmeans(_quantizer_sample(ds, emb_col, id_col, train_sample,
+                                          seed), n_lists, seed=seed)
     cref = ray.put(centroids)
 
     qid = np.asarray(queries["query_id"])
@@ -273,23 +291,11 @@ def build_ivf_index(ds, path: str, n_lists: int = 16, emb_col: str = "embedding"
     import pyarrow.parquet as pq
     import ray
 
-    from logray.functions.sample import sample_uniform
     from logray.state.manifest import publish, publish_text
 
-    sample_rows = []
-    sch = ds.schema()
-    id_type = dict(zip(sch.names, sch.types)).get(id_col)
     n_total = ds.count()
-    if id_type is not None and pa.types.is_integer(id_type):
-        try:
-            p = min(1.0, (train_sample * 1.25) / max(n_total, 1))
-            sample_rows = sample_uniform(ds, p, id_col, seed=seed).limit(train_sample).take_all()
-        except Exception:
-            sample_rows = []
-    if not sample_rows:
-        sample_rows = ds.limit(train_sample).take_all()
-    sample = np.stack([np.asarray(r[emb_col], np.float64) for r in sample_rows])
-    centroids = _kmeans(sample, n_lists, seed=seed)
+    centroids = _kmeans(_quantizer_sample(ds, emb_col, id_col, train_sample,
+                                          seed), n_lists, seed=seed)
     cref = ray.put(centroids)
 
     def assign(t: pa.Table) -> pa.Table:

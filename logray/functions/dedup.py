@@ -356,22 +356,20 @@ def hash_pairs_to_int64(pairs, id_a: str = "id_a", id_b: str = "id_b",
 
 
 def _broadcast_id_filter(ds, ids, id_col: str, keep_members: bool,
-                         select_cols=None, probe=None):
+                         select_cols=None):
     """Shared broadcast id-set filter behind the dedup keep policies:
     ``keep_members=False`` DROPS the listed ids (keep-min / keep-best
     output), ``True`` KEEPS only them (the pruned score-fetch pass).
     ``ids`` (a list, ``pa.Array`` or ``ObjectRef`` of either) becomes one
     ``pa.Array`` on the driver and ships once via ``ray.put``; each batch
     reads it zero-copy inside a plain fused task, casts it to the probed
-    column's type if that differs, and applies one vectorized ``is_in``.
-    ``probe(column) -> Array`` replaces the id column as the probed
-    values (e.g. the int64 hashes of string ids)."""
+    column's type if that differs, and applies one vectorized ``is_in``."""
     if isinstance(ids, ray.ObjectRef):
         ids = ray.get(ids)
     ref = ray.put(ids if isinstance(ids, pa.Array) else pa.array(ids))
 
     def id_filter(t: pa.Table) -> pa.Table:
-        vals = t[id_col] if probe is None else probe(t[id_col])
+        vals = t[id_col]
         id_set = ray.get(ref)
         if id_set.type != vals.type:
             id_set = (id_set.cast(vals.type) if len(id_set)
@@ -385,35 +383,14 @@ def _broadcast_id_filter(ds, ids, id_col: str, keep_members: bool,
     return ds.map_batches(id_filter, batch_format="pyarrow")
 
 
-def dedup_keep_min(ds, pairs, id_col: str = "doc_id", distributed: bool = False,
-                   num_shards: int = 8):
+def dedup_keep_min(ds, pairs, id_col: str = "doc_id"):
     """Full near-dedup: keep one representative per duplicate cluster.
     ``pairs`` is a (id_a, id_b) Dataset/DataFrame from any of the pair
     miners; the drop-set (non-representative cluster members) is broadcast
     once and applied as a vectorized filter inside map_batches.
 
-    Ids may be ints OR strings.  Driver path (default): type-generic
-    union-find, representative = minimum id.  ``distributed=True`` routes
-    through the sharded-actor CC for pathological pair volumes; string ids
-    are hashed to int64 first (exact collision check, see
-    :func:`hash_pairs_to_int64`) and the representative becomes the
-    min-HASH member — deterministic, but not the lexicographic minimum."""
-    if distributed:
-        sch = pairs.schema()
-        atype = dict(zip(sch.names, sch.types))["id_a"]
-        string_ids = not pa.types.is_integer(atype)
-        hp = hash_pairs_to_int64(pairs) if string_ids else pairs
-        comp_ds = connected_components_distributed(hp, num_shards=num_shards)
-        drop_df = comp_ds.map_batches(
-            lambda t: t.filter(pc.not_equal(t["doc_id"], t["component"])),
-            batch_format="pyarrow", batch_size=None,
-        ).to_pandas()
-        drop = pa.array(drop_df["doc_id"], pa.int64())
-        probe = ((lambda c: pa.array(content_hash(c).astype(np.int64))) if string_ids
-                 else (lambda c: c.cast(pa.int64())))
-        return _broadcast_id_filter(ds, drop, id_col, keep_members=False,
-                                    probe=probe)
-
+    Ids may be ints OR strings: the driver union-find is type-generic and
+    the representative is the minimum id."""
     comp = connected_components(pairs)
     drop = comp.loc[comp["doc_id"] != comp["component"], "doc_id"].tolist()
     return _broadcast_id_filter(ds, drop, id_col, keep_members=False)
@@ -908,7 +885,7 @@ def dedup_keep_best(ds, pairs, id_col: str = "doc_id",
     any pair miner; representative = max ``score_col``, ties to the
     smallest id; null/missing scores rank last.
 
-    Driver path like :func:`dedup_keep_min`: cluster membership is
+    Driver union-find like :func:`dedup_keep_min`: cluster membership is
     bounded by the DUPLICATED id set, so the component labels, the ONE
     pruned score-fetch pass, and the winner selection are all
     O(duplicates); the drop-set broadcasts once.  For pathological pair

@@ -19,9 +19,8 @@ its own partition axis:
    :func:`~logray.state.manifest.resumable_exchange`.
 3. **closure** — single partition: all pairs -> connected components ->
    the drop list (non-minimum cluster members).  Pairs are orders of
-   magnitude smaller than the corpus; the driver union-find is the
-   default with the sharded-actor distributed CC as the opt-in scale
-   path.
+   magnitude smaller than the corpus, so the driver union-find runs
+   it.
 4. **dedup** — per INPUT FILE: broadcast the drop list (``ray.put``
    once), filter, write the deduplicated output.
 
@@ -43,7 +42,6 @@ from logray.functions.dedup import (
     _band_pairs,
     _explode_bands_fn,
     connected_components,
-    connected_components_distributed,
 )
 from logray.state.manifest import (check_run_config, committed_files,
                                    map_phase, resumable_exchange,
@@ -61,7 +59,6 @@ def near_dedup_resumable(
     threshold: float = 0.7,
     seed: int = 1,
     max_bucket: int = DEFAULT_MAX_BUCKET,
-    distributed_cc: bool = False,
     partitions: list[tuple[str, list[str]]] | None = None,
     max_concurrent: int = 1,
     _fault=None,
@@ -107,11 +104,8 @@ def near_dedup_resumable(
     def run_closure(_files, pdir):
         drop = np.zeros(0, np.int64)
         if pair_files:
-            pairs_ds = rd.read_parquet(pair_files)
-            if distributed_cc:
-                comp = connected_components_distributed(pairs_ds).to_pandas()
-            else:
-                comp = connected_components(pairs_ds.to_pandas())
+            comp = connected_components(
+                rd.read_parquet(pair_files).to_pandas())
             drop = comp.loc[comp["doc_id"] != comp["component"],
                             "doc_id"].to_numpy(np.int64)
         pq.write_table(pa.table({"doc_id": pa.array(drop)}),

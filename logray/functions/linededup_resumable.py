@@ -1,8 +1,8 @@
 """Checkpoint-resumable corpus-global line dedup (the C4 "remove
 repeated lines" pass, same semantics as
 :func:`logray.functions.linededup.dedup_lines`).  Line dedup is the
-single most expensive operator at bench scale (two sort shuffles in the
-dense plan), so the resumable plan both checkpoints every partition
+single most expensive operator at bench scale (two sort shuffles in
+``dedup_lines``), so the resumable plan both checkpoints every partition
 through the manifest protocol AND eliminates the reassembly shuffle
 entirely — documents are rebuilt by RE-READING their input file, which
 is already the partition axis:
@@ -23,7 +23,7 @@ is already the partition axis:
    tombstoned lines, and reassembles LOCALLY (a document's lines never
    leave the batch that exploded them), writing ``(id, text, n_lines)``.
 
-Compared to ``dedup_lines``'s dense plan the full-width line shuffle is
+Compared to ``dedup_lines`` the full-width line shuffle is
 replaced by the phase-1 Parquet hop (combined winners + 16-byte
 tombstones, every partition a checkpoint) and the reassembly shuffle by
 a local rebuild.  Output is exactly equal to ``dedup_lines`` (pinned by

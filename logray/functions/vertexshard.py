@@ -183,7 +183,7 @@ class ShardRun:
 
     def __init__(self, kernel, num_shards: int):
         # an empty shard list would push nowhere and answer with zero
-        # rows (or, under dedup_keep_min, keep every duplicate)
+        # rows (a drop list built from them would keep every duplicate)
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1, got {num_shards}")
         self.kernel = kernel

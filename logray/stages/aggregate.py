@@ -11,6 +11,16 @@ distinct key per batch) and then runs the wide ``groupby`` over the tiny
 partials — this is also the skew ("hot conversation") mitigation: a conv
 with 30% of all rows still contributes only one partial row per batch, so no
 single reducer receives the raw hot-key rows.
+
+A pandas result folds those partials on the driver
+(:func:`bucketing.stream_fold`, :func:`fold_partials_stream`): the
+partial batches stream in and a local Arrow group_by re-combines them
+after each chunk — memory bounded at O(distinct keys), no distributed
+shuffle.  There is no second fold: a Ray ``groupby`` over the partials
+was measured ~7 s slower per run than the driver fold at metric-sized
+cardinalities (hundreds of thousands of keys).  A Dataset result
+(``as_pandas=False``) stays a Ray ``groupby``, because its consumer is
+distributed.
 """
 
 from __future__ import annotations
@@ -34,17 +44,14 @@ def _partial_counts(cols: list[str]):
     return fn
 
 
-def histogram(ds, cols, as_pandas: bool = True, fold: str = "driver"):
+def histogram(ds, cols, as_pandas: bool = True):
     """Exact row counts per distinct value combination of ``cols``.
     Two-phase: per-batch Arrow group_by partials -> fold of the (tiny)
     partials.  Output columns: cols + ['n'] (sorted by cols).
 
-    ``fold="driver"`` (default for the pandas result) streams the partial
-    batches to the driver and folds them with a local Arrow group_by —
-    bounded memory at O(distinct keys) and several seconds faster per run
-    than Ray's Aggregate operator at metric-sized cardinalities.  A
-    Dataset result (``as_pandas=False``) or ``fold="distributed"`` keeps
-    the distributed groupby for huge key spaces."""
+    The pandas result folds on the driver (see the module docstring); a
+    Dataset result (``as_pandas=False``) is a Ray ``groupby`` over the
+    partials, since its consumer stays distributed."""
     if isinstance(cols, str):
         cols = [cols]
     from ray.data.aggregate import Sum
@@ -53,11 +60,8 @@ def histogram(ds, cols, as_pandas: bool = True, fold: str = "driver"):
         # batch_size=None: whole-block batches fuse into the upstream read
         _partial_counts(cols), batch_format="pyarrow", zero_copy_batch=True, batch_size=None
     )
-    if not as_pandas or fold == "distributed":
-        out = partial.groupby(cols).aggregate(Sum("partial_count", alias_name="n"))
-        if not as_pandas:
-            return out
-        return out.to_pandas().sort_values(cols).reset_index(drop=True)
+    if not as_pandas:
+        return partial.groupby(cols).aggregate(Sum("partial_count", alias_name="n"))
 
     from logray.stages.bucketing import stream_fold
 
@@ -189,48 +193,26 @@ def split_folded(folded, hist_cols: list[str], ts_col: str | None = None,
     return out
 
 
-def multi_histogram(ds, hist_cols: list[str], ts_col: str | None = None,
-                    fold: str = "driver"):
+def multi_histogram(ds, hist_cols: list[str], ts_col: str | None = None):
     """ALL the pipeline's exact aggregates in ONE streaming pass.
 
     Per batch we emit long-format partial rows ``(metric, key, n, v_min,
     v_max)`` — one row per distinct value of each histogram column plus one
     row for the ts range — then fold the partials by ``(metric, key)``
-    (Sum for counts, Min/Max for the range).
-
-    ``fold="driver"`` (default) streams the partial batches to the driver
-    and folds them with a local Arrow group_by after each chunk — bounded
-    memory at O(total key cardinality), no distributed shuffle, and ~7s
-    faster per run than Ray's Aggregate operator at metric-sized
-    cardinalities (hundreds of thousands of keys).  ``fold="distributed"``
-    keeps the fold as a Ray ``groupby`` for key spaces too large for one
-    process (e.g. 10^9 conversations) — same result, one small shuffle.
+    (Sum for counts, Min/Max for the range) on the driver with
+    :func:`fold_partials_stream`.
 
     Returns {col: DataFrame(key, n)} plus '__ts' -> (min, max) when ts_col
     is given.  Keys are stringified (null -> "\\0null" sentinel) so one
     long table can carry every histogram; callers de-stringify if needed.
     """
-    from ray.data.aggregate import Max, Min, Sum
-
     partial_ds = ds.map_batches(
         lambda t: histogram_partials(t, hist_cols, ts_col),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=None,  # whole-block batches: fuses into the upstream read
     )
-    if fold == "distributed":
-        folded = (
-            partial_ds.groupby(["metric", "key"])
-            .aggregate(
-                Sum("n", alias_name="n"),
-                Min("v_min", alias_name="v_min"),
-                Max("v_max", alias_name="v_max"),
-            )
-            .to_pandas()
-        )
-    else:
-        folded = fold_partials_stream(partial_ds)
-    return split_folded(folded, hist_cols, ts_col)
+    return split_folded(fold_partials_stream(partial_ds), hist_cols, ts_col)
 
 
 def min_max(ds, col: str):
@@ -583,19 +565,17 @@ def grouped_quantiles_sql(table: str, key: str, col: str, qs) -> str:
     return " UNION ALL ".join(parts)
 
 
-def top_k_groups(ds, key_cols, k: int, as_pandas: bool = True, fold: str = "driver"):
+def top_k_groups(ds, key_cols, k: int, as_pandas: bool = True):
     """Top-k groups by exact count (ties broken by key ascending).
 
-    Default: histogram partials folded on the driver, then a local sort +
-    head — identical results to the distributed groupby+sort+limit path
-    (``fold="distributed"`` / ``as_pandas=False``), minus two Ray
-    all-to-all operators of fixed cost."""
+    The pandas result: histogram partials folded on the driver, then a
+    local sort + head.  A Dataset result (``as_pandas=False``) is the
+    distributed groupby + sort + limit, with identical rows."""
     if isinstance(key_cols, str):
         key_cols = [key_cols]
-    if not as_pandas or fold == "distributed":
+    if not as_pandas:
         counts = histogram(ds, key_cols, as_pandas=False)
-        out = counts.sort(["n"] + key_cols, descending=[True] + [False] * len(key_cols)).limit(k)
-        return out.to_pandas() if as_pandas else out
+        return counts.sort(["n"] + key_cols, descending=[True] + [False] * len(key_cols)).limit(k)
     counts = histogram(ds, key_cols, as_pandas=True)
     out = counts.sort_values(
         ["n"] + key_cols, ascending=[False] + [True] * len(key_cols), kind="mergesort"
@@ -604,8 +584,7 @@ def top_k_groups(ds, key_cols, k: int, as_pandas: bool = True, fold: str = "driv
 
 
 def pivot_agg(ds, key_col: str, pivot_col: str, value_col: str | None = None,
-              pivot_values=None, prefix: str | None = None,
-              fold: str = "driver"):
+              pivot_values=None, prefix: str | None = None):
     """Wide crosstab: one row per key, one column per pivot value, cells
     = exact ``count(*)`` (``value_col=None``) or exact integer
     ``sum(value_col)``; absent (key, pivot) combinations are 0.
@@ -636,26 +615,17 @@ def pivot_agg(ds, key_col: str, pivot_col: str, value_col: str | None = None,
     parts = ds.map_batches(partial, batch_format="pyarrow", zero_copy_batch=True,
                            batch_size=None)
 
-    if fold == "distributed":
-        from ray.data.aggregate import Sum
+    from logray.stages.bucketing import stream_fold
 
-        folded = (
-            parts.groupby([key_col, pivot_col])
-            .aggregate(Sum("pv", alias_name="pv"))
-            .to_pandas()
+    def fold_local(tables: list[pa.Table]) -> pa.Table:
+        g = pa.concat_tables(tables).group_by([key_col, pivot_col]).aggregate(
+            [("pv", "sum")]
         )
-    else:
-        from logray.stages.bucketing import stream_fold
+        return g.rename_columns([key_col, pivot_col, "pv"])
 
-        def fold_local(tables: list[pa.Table]) -> pa.Table:
-            g = pa.concat_tables(tables).group_by([key_col, pivot_col]).aggregate(
-                [("pv", "sum")]
-            )
-            return g.rename_columns([key_col, pivot_col, "pv"])
-
-        f = stream_fold(parts, fold_local)
-        folded = (f.to_pandas() if f is not None
-                  else pd.DataFrame({key_col: [], pivot_col: [], "pv": []}))
+    f = stream_fold(parts, fold_local)
+    folded = (f.to_pandas() if f is not None
+              else pd.DataFrame({key_col: [], pivot_col: [], "pv": []}))
 
     folded = folded[folded[pivot_col].notna()]
     if pivot_values is None:

@@ -89,6 +89,23 @@ def test_broadcast_state_runs_on_plain_tasks():
                         modules["functions/tokenize.py"])
 
 
+# stages of the exempt modules that take a ``concurrency=`` for their pool
+_ACTOR_STAGES = {"decode_stage", "model_score_stage"}
+
+
+def test_entry_queries_run_broadcasts_on_plain_tasks():
+    """The gate queries in ``__ray_entry__.py`` hold to the same rule: no
+    ``map_batches`` there starts an actor pool, and ``concurrency=`` is
+    passed only to the exempt modules' actor stages."""
+    src = (ROOT / "__ray_entry__.py").read_text()
+    assert _actor_sites("__ray_entry__.py", src) == []
+    calls = [n for n in ast.walk(ast.parse(src)) if isinstance(n, ast.Call)
+             and any(k.arg == "concurrency" for k in n.keywords)]
+    names = {getattr(c.func, "id", getattr(c.func, "attr", None))
+             for c in calls}
+    assert calls and names <= _ACTOR_STAGES, names
+
+
 _ONE_CPU_RUN = textwrap.dedent("""
     import json, sys
     import ray
@@ -137,6 +154,25 @@ def _one_cpu_corpus(path: Path):
     return ids, text, lang
 
 
+def _run_on_one_cpu(script: str, args: list[str], cwd: Path, what: str):
+    """Run ``script`` in a fresh interpreter (which starts its own 1-CPU
+    Ray) and return the JSON on its last stdout line; fail after 240 s."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT) + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, *args], cwd=str(cwd), env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate(timeout=240)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, 9)  # the child's Ray processes share its group
+        proc.communicate()
+        pytest.fail(f"{what} did not finish on a 1-CPU Ray in 240 s")
+    assert proc.returncode == 0, stderr[-3000:]
+    return json.loads(stdout.strip().splitlines()[-1])
+
+
 def test_incremental_dedup_finishes_on_one_cpu(ray_session, tmp_path):
     """``dedup_against_index`` and ``dedup_near_against_index`` in both
     modes finish on a Ray started with ``num_cpus=1`` (the CPU count a
@@ -148,21 +184,10 @@ def test_incremental_dedup_finishes_on_one_cpu(ray_session, tmp_path):
         build_band_index, dedup_near_against_index)
 
     ids, text, lang = _one_cpu_corpus(tmp_path / "docs.parquet")
-    env = dict(os.environ, PYTHONPATH=str(ROOT) + os.pathsep
-               + os.environ.get("PYTHONPATH", ""))
-    proc = subprocess.Popen(
-        [sys.executable, "-c", _ONE_CPU_RUN, str(tmp_path / "docs.parquet"),
-         str(tmp_path / "exact_idx"), str(tmp_path / "band_idx")],
-        cwd=str(tmp_path), env=env, stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, text=True, start_new_session=True)
-    try:
-        stdout, stderr = proc.communicate(timeout=240)
-    except subprocess.TimeoutExpired:
-        os.killpg(proc.pid, 9)  # the child's Ray processes share its group
-        proc.communicate()
-        pytest.fail("incremental dedup did not finish on a 1-CPU Ray in 240 s")
-    assert proc.returncode == 0, stderr[-3000:]
-    got = json.loads(stdout.strip().splitlines()[-1])
+    got = _run_on_one_cpu(
+        _ONE_CPU_RUN, [str(tmp_path / "docs.parquet"),
+                       str(tmp_path / "exact_idx"), str(tmp_path / "band_idx")],
+        tmp_path, "incremental dedup")
 
     seen = {t for t, l in zip(text, lang) if l == "en" and t is not None}
     want = sorted(int(i) for i, t, l in zip(ids, text, lang)
@@ -178,3 +203,39 @@ def test_incremental_dedup_finishes_on_one_cpu(ray_session, tmp_path):
         mode="broadcast").to_pandas()["doc_id"].tolist())
     assert got["near-broadcast"] == got["near-sharded"] == near4
     assert set(near4) <= set(want)
+
+
+_REVENUE_ONE_CPU = textwrap.dedent("""
+    import json, sys
+    import ray
+    import ray.data as rd
+
+    ray.init(address="local", num_cpus=1, include_dashboard=False,
+             logging_level="ERROR")
+    rd.DataContext.get_current().enable_progress_bars = False
+    import __ray_entry__
+
+    out = __ray_entry__._q_revenue_by_nation(sys.argv[1])
+    ray.shutdown()
+    print(json.dumps(sorted(map(list, out.itertuples(index=False)))))
+""")
+
+
+def test_revenue_by_nation_finishes_on_one_cpu(sf_dir, tmp_path):
+    """The ``revenue_by_nation`` gate query finishes on a 1-CPU Ray (its
+    supplier lookup was an actor pool that held the only CPU while the
+    lineitem read waited) and equals its DuckDB twin."""
+    import duckdb
+
+    import __ray_entry__
+
+    got = _run_on_one_cpu(_REVENUE_ONE_CPU, [sf_dir], tmp_path,
+                          "revenue_by_nation")
+    con = duckdb.connect()
+    for t in ("customer", "orders", "lineitem", "supplier", "nation",
+              "region"):
+        con.execute(f"CREATE VIEW {t} AS SELECT * FROM "
+                    f"read_parquet('{sf_dir}/{t}.parquet')")
+    want = sorted(map(list, con.execute(
+        __ray_entry__.oracle_sql()["revenue_by_nation"]).fetchall()))
+    assert got == want and want

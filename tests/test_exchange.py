@@ -181,8 +181,7 @@ def _run(case: str):
             return out.materialize()
     if case.startswith("dedup_lines"):
         docs = ds.select_columns(["event_id", "text"])
-        return dedup_lines(docs, id_col="event_id", num_buckets=B,
-                           mode=case.split("-")[1])
+        return dedup_lines(docs, id_col="event_id", num_buckets=B)
     raise KeyError(case)
 
 
@@ -219,7 +218,6 @@ _GOLDEN = {  # computed on the code before the operator moved onto the exchange
     "bucketed_join_pandas": "57c5a9c0b4e8d246",
     "containment_pairs": "eb222f69159d205a",  # see the null-key note above
     "dedup_lines-dense": "38d048146b531e8d",
-    "dedup_lines-sparse": "38d048146b531e8d",
     "distinct_pairs": "5b67708e4e29def8",
     "edit_distance_pairs": "eaca4962ad43cbaf",  # see the null-key note above
     "embedding_dedup-1": "95a7273ed8cf5feb",

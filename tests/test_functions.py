@@ -1126,6 +1126,41 @@ def test_ann_ivf_negative_ids_fallback(ray_session):
     assert res.iloc[0]["vec_id"] == 30 - 60
 
 
+def test_ann_ivf_quantizer_sample_is_deterministic(ray_session):
+    """The quantizer trains on the same rows in the same order whatever
+    the block layout, so repeated ``ann_ivf_topk`` calls answer alike
+    (the first ``train_sample`` sampled rows in execution order seeded
+    the k-means by position, and the probed lists followed block
+    order)."""
+    import hashlib
+
+    import ray.data as rd
+
+    from logray.functions.ann import _quantizer_sample, ann_ivf_topk
+    from logray.functions.sample import _det_hash
+
+    rng = np.random.default_rng(8)
+    m = rng.standard_normal((400, 8)).astype(np.float32)
+    ids = np.arange(400, dtype=np.int64)
+    t = pa.table({"vec_id": pa.array(ids),
+                  "embedding": pa.array([v.tolist() for v in m],
+                                        pa.list_(pa.float32()))})
+    want = m[np.lexsort((ids, _det_hash(ids, 11)))[:64]].astype(np.float64)
+    for parts in (1, 3, 7):
+        got = _quantizer_sample(rd.from_arrow(t).repartition(parts),
+                                "embedding", "vec_id", 64, 11)
+        np.testing.assert_array_equal(got, want)
+
+    q = {"query_id": [0, 1], "matrix": m[[5, 250]]}
+    digests = set()
+    for parts in (4, 4, 6):
+        res = ann_ivf_topk(rd.from_arrow(t).repartition(parts), q, k=5,
+                           n_lists=8, nprobe=2, train_sample=64)
+        res = res.sort_values(["query_id", "vec_id"]).reset_index(drop=True)
+        digests.add(hashlib.sha256(res.to_csv().encode()).hexdigest())
+    assert len(digests) == 1
+
+
 def test_chunk_documents_null_text_dropped(ray_session):
     import duckdb
     import ray.data as rd
@@ -1475,27 +1510,6 @@ def test_near_dedup_string_ids_driver(ray_session):
     assert "doc-a" in set(kept["doc_id"])
     assert {"doc-b", "doc-e"}.isdisjoint(set(kept["doc_id"]))
     assert {"doc-d", "doc-f"} <= set(kept["doc_id"])
-
-
-def test_near_dedup_string_ids_distributed(ray_session):
-    import ray.data as rd
-
-    from logray.functions.dedup import dedup_keep_min
-
-    ids = [f"u-{i:03d}" for i in range(8)]
-    pairs = rd.from_arrow(pa.table({
-        "id_a": pa.array(["u-000", "u-001", "u-005"], pa.string()),
-        "id_b": pa.array(["u-001", "u-002", "u-006"], pa.string()),
-    }))
-    ds = rd.from_arrow(pa.table({"doc_id": pa.array(ids, pa.string()),
-                                 "x": pa.array(range(8), pa.int64())}))
-    kept = dedup_keep_min(ds, pairs, id_col="doc_id", distributed=True,
-                          num_shards=2).to_pandas()
-    # clusters {000,001,002} and {005,006}: one representative kept each
-    kept_ids = set(kept["doc_id"])
-    assert len(kept_ids & {"u-000", "u-001", "u-002"}) == 1
-    assert len(kept_ids & {"u-005", "u-006"}) == 1
-    assert {"u-003", "u-004", "u-007"} <= kept_ids
 
 
 def test_hash_pairs_collision_check(ray_session):
@@ -2093,6 +2107,9 @@ def test_bloom_prefilter_no_false_negatives(ray_session):
 
 
 def test_dedup_lines_sparse_plan_equals_dense_and_duckdb(ray_session):
+    """Sparse duplication (~15% of documents carry one common footer,
+    the rest share no line): exact against the DuckDB twin, the footer
+    kept once."""
     import duckdb
     import numpy as np
     import ray.data as rd
@@ -2110,23 +2127,19 @@ def test_dedup_lines_sparse_plan_equals_dense_and_duckdb(ray_session):
     docs.append({"doc_id": 900, "text": None})
     df = pd.DataFrame(docs)
 
-    outs = {}
-    for mode in ("dense", "sparse", "auto"):
-        outs[mode] = (
-            dedup_lines(rd.from_pandas(df).repartition(7), min_len=1,
-                        num_buckets=8, mode=mode)
-            .to_pandas().sort_values("doc_id").reset_index(drop=True)
-        )
-    pd.testing.assert_frame_equal(outs["dense"], outs["sparse"])
-    pd.testing.assert_frame_equal(outs["dense"], outs["auto"])
+    got = (
+        dedup_lines(rd.from_pandas(df).repartition(7), min_len=1,
+                    num_buckets=8)
+        .to_pandas().sort_values("doc_id").reset_index(drop=True)
+    )
     con = duckdb.connect()
     con.register("documents", df)
     want = con.sql(dedup_lines_sql("documents") + " ORDER BY doc_id").df()
     pd.testing.assert_frame_equal(
-        outs["sparse"][["doc_id", "text", "n_lines"]],
+        got[["doc_id", "text", "n_lines"]],
         want[["doc_id", "text", "n_lines"]],
     )
-    kept = [l for t in outs["sparse"]["text"] for l in t.split("\n")]
+    kept = [l for t in got["text"] for l in t.split("\n")]
     assert kept.count("COMMON FOOTER") == 1
 
 
@@ -2137,7 +2150,7 @@ def test_dedup_lines_sparse_no_duplicates_passthrough(ray_session):
 
     df = pd.DataFrame({"doc_id": [1, 2], "text": ["a\nb", "c\nd"]})
     got = (
-        dedup_lines(rd.from_pandas(df), mode="sparse", num_buckets=4)
+        dedup_lines(rd.from_pandas(df), num_buckets=4)
         .to_pandas().sort_values("doc_id").reset_index(drop=True)
     )
     assert got["text"].tolist() == ["a\nb", "c\nd"]
@@ -3659,8 +3672,8 @@ def test_html_to_text_matches_duckdb_twin(ray_session):
 
 
 def test_snapshot_diff_matches_duckdb(ray_session):
-    """Snapshot diff over narrow fingerprints: exact vs the FULL OUTER
-    JOIN text-comparison twin (which also proves the 128-bit hash path
+    """Snapshot diff over (id, text fingerprint) rows: exact vs the FULL
+    OUTER JOIN text-comparison twin (which also proves the 128-bit hash path
     collision-free here), including null-text transitions, string ids,
     the include_unchanged flag and the duplicate-id guard."""
     import duckdb
@@ -3684,23 +3697,15 @@ def test_snapshot_diff_matches_duckdb(ray_session):
     con.register("old_t", old)
     con.register("new_t", new)
     for inc in (False, True):
-        for mode in ("narrow", "wide"):
-            got = (snapshot_diff(rd.from_arrow(old).repartition(3),
-                                 rd.from_arrow(new).repartition(2),
-                                 num_buckets=4, include_unchanged=inc,
-                                 mode=mode)
-                   .to_pandas().sort_values("doc_id")
-                   .reset_index(drop=True))
-            want = con.execute(snapshot_diff_sql(
-                "old_t", "new_t", include_unchanged=inc)).df()
-            pd.testing.assert_frame_equal(got, want, check_dtype=False)
+        got = (snapshot_diff(rd.from_arrow(old).repartition(3),
+                             rd.from_arrow(new).repartition(2),
+                             num_buckets=4, include_unchanged=inc)
+               .to_pandas().sort_values("doc_id")
+               .reset_index(drop=True))
+        want = con.execute(snapshot_diff_sql(
+            "old_t", "new_t", include_unchanged=inc)).df()
+        pd.testing.assert_frame_equal(got, want, check_dtype=False)
     assert set(got[got["status"] == "unchanged"]["doc_id"]) == {5, 6, 7}
-
-    # a wholesale-different delta trips the narrow broadcast cap
-    with pytest.raises(Exception, match="max_broadcast"):
-        snapshot_diff(rd.from_arrow(old), rd.from_arrow(new),
-                      num_buckets=2, mode="narrow",
-                      max_broadcast=2).to_pandas()
 
     # string ids route through the content-hash bucket path
     olds = pa.table({"doc_id": pa.array(["u1", "u2"]),

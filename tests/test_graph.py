@@ -848,8 +848,8 @@ def test_graph_engine_empty_input(ray_session, algo, num_shards):
 @pytest.mark.parametrize("algo", _ENGINES)
 def test_graph_engine_rejects_num_shards_below_one(ray_session, algo):
     """No shard would receive an edge: refuse instead of answering with
-    zero rows (under dedup_keep_min(distributed=True) that would keep
-    every duplicate)."""
+    zero rows (a drop list built from those components would be empty
+    and keep every duplicate)."""
     import logray.functions.graph as G
 
     for b in (0, -2):
