@@ -3127,7 +3127,8 @@ def _q_bloom_semi_join(sf_dir: str):
 
 def _q_global_rank_events(sf_dir: str):
     """Corpus-global ROW_NUMBER / RANK / PERCENT_RANK of event cents —
-    the percentile-normalization pass (zipWithIndex fixup over one sort)."""
+    the percentile-normalization pass (one sort, tie runs carried across
+    block seams by ``bucketing.sorted_scan``)."""
     import ray.data as rd
 
     from logray.stages.windowfn import global_rank
@@ -3170,7 +3171,8 @@ def _q_distinct_users(sf_dir: str):
 def _q_pack_docs(sf_dir: str):
     """Concat-and-cut sequence packing: documents laid head-to-tail by
     doc_id and cut every 2048 chars; each doc gets its starting
-    (seq_id, seq_offset).  Global prefix sum via the zipWithIndex shape."""
+    (seq_id, seq_offset).  Global prefix sum over one sort
+    (``bucketing.sorted_scan``)."""
     import ray.data as rd
 
     from logray.functions.packing import pack_documents

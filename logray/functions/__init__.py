@@ -27,9 +27,7 @@ from logray.functions.modelscore import ModelScoreBatch, model_score_stage
 from logray.functions.chunking import chunk_documents
 from logray.functions.tokenize import (
     ByteBPE,
-    TokenizeBatch,
     chunk_documents_tokens,
-    DetokenizeBatch,
     detokenize,
     tokenize_bpe,
     train_bpe,
@@ -200,9 +198,7 @@ __all__ = [
     "redact_pii",
     "chunk_documents",
     "ByteBPE",
-    "TokenizeBatch",
     "chunk_documents_tokens",
-    "DetokenizeBatch",
     "detokenize",
     "tokenize_bpe",
     "train_bpe",

@@ -11,10 +11,11 @@ staying well-shuffled inside each difficulty band.  The standard recipe:
    deterministic-hash order (reproducible across runs, cluster sizes and
    resumes — the same contract as ``functions/sample.py``).
 
-Scale shape: two NARROW global sorts (the :func:`~logray.stages.windowfn.
-_rank_table` zipWithIndex pattern — only two-column projections are
-sorted and pinned, never the corpus) plus one bucketed hash join of the
-two narrow rank tables.  The in-bin order is encoded as a fixed-width
+Scale shape: two NARROW global sorts (each one
+:func:`~logray.stages.windowfn._rank_table` on the one sorted-block scan,
+:func:`~logray.stages.bucketing.sorted_scan` — only two-column
+projections are sorted and pinned, never the corpus) plus one bucketed
+hash join of the two narrow rank tables.  The in-bin order is encoded as a fixed-width
 ``zfill(bin)|zfill(hash)`` string key so ONE lexicographic sort realizes
 the (bin, hash) composite order exactly as the SQL twin's
 ``ORDER BY bin, h, id`` does.

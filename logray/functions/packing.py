@@ -6,13 +6,12 @@ FIRST unit lands in (``seq_id``) and its offset within that sequence
 (``seq_offset``); a consumer can derive every split point from
 (seq_id, seq_offset, len) alone, so the packing itself never copies text.
 
-Scale shape — the zipWithIndex pattern (same as
-``sources/transcripts.assign_turn_idx_sorted``): one global sort by the
-id column, then per-block segmented cumsums fixed up with per-block
-offsets derived from tiny (block -> length sum) summaries scanned once on
-the driver.  The only wide op is the sort; the prefix-sum dependency is
-the one thing the Dataset API can't express, so it drops to raw Ray tasks
-over the sorted Dataset's own block refs.
+Scale shape — the one sorted-block scan
+(:func:`~logray.stages.bucketing.sorted_scan`, shared with ``global_rank``
+and the skew-safe ``transition_counts``): one global sort by the id
+column, then per-block cumsums fixed up with per-block offsets derived
+from tiny (block -> length sum) summaries scanned once on the driver.
+The only wide op is the sort.
 
 Reference parity: generalizes the reference's LineBlock paging
 (``src/file_parsing/log_parser_interface.hpp:17-33`` fixed-size LineBlock
@@ -29,31 +28,6 @@ import pyarrow.compute as pc
 __all__ = ["pack_documents", "pack_documents_sql"]
 
 
-def _to_table(t) -> pa.Table:
-    """Blocks of a sorted Dataset are Arrow or pandas depending on the
-    upstream block format; normalize."""
-    if isinstance(t, pa.Table):
-        return t
-    import pandas as pd
-
-    if isinstance(t, pd.DataFrame):
-        return pa.Table.from_pandas(t, preserve_index=False)
-    raise TypeError(f"unexpected block type {type(t)}")
-
-
-def _apply_pack(t, offset: int, budget: int, id_col: str,
-                len_col: str) -> pa.Table:
-    t = _to_table(t)
-    lens = t[len_col].to_numpy(zero_copy_only=False).astype(np.int64)
-    start = offset + np.cumsum(lens) - lens
-    return pa.table({
-        id_col: t[id_col],
-        "len": pc.cast(t[len_col], pa.int64()),
-        "seq_id": pa.array(start // budget),
-        "seq_offset": pa.array(start % budget),
-    })
-
-
 def pack_documents(ds, budget: int, id_col: str = "doc_id",
                    len_col: str | None = None, text_col: str = "text"):
     """Assign each document its (seq_id, seq_offset) under concat-and-cut
@@ -62,8 +36,7 @@ def pack_documents(ds, budget: int, id_col: str = "doc_id",
     when None, UTF-8 character count of ``text_col`` is used and null-text
     rows are dropped (mirroring the SQL twin's WHERE).  Output:
     ``(id_col, len, seq_id, seq_offset)``."""
-    import ray
-    import ray.data as rd
+    from logray.stages.bucketing import sorted_scan
 
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -81,45 +54,23 @@ def pack_documents(ds, budget: int, id_col: str = "doc_id",
     else:
         ds = ds.select_columns([id_col, len_col])
 
-    sorted_ds = ds.sort(id_col).materialize()
-    blocks = [
-        blk for bundle in sorted_ds.iter_internal_ref_bundles()
-        for blk in bundle.blocks
-    ]
-    refs = [r for r, _m in blocks]
-    if not refs:
-        return sorted_ds.map_batches(
-            lambda t: _apply_pack(t, 0, budget, id_col, len_col),
-            batch_format="pyarrow",
-        )
+    def length_sum(t: pa.Table) -> int:
+        return int(pc.sum(t[len_col]).as_py() or 0)
 
-    def _block_meta(t, col: str) -> tuple[int, int]:
-        # sort can emit 0-row boundary blocks WITHOUT a schema — report
-        # them as (0 rows, 0 sum) so they can be dropped instead of
-        # KeyError-ing on the missing length column
-        t = _to_table(t)
-        if t.num_rows == 0 or col not in t.column_names:
-            return 0, 0
-        s = pc.sum(t[col]).as_py()
-        return t.num_rows, int(s or 0)
+    def offsets(sums: list[int]) -> list[int]:
+        return np.cumsum([0] + sums[:-1], dtype=np.int64).tolist()
 
-    meta_task = ray.remote(num_cpus=0.5)(_block_meta)
-    apply_task = ray.remote(num_cpus=0.5)(_apply_pack)
+    def apply(t: pa.Table, offset: int) -> pa.Table:
+        lens = t[len_col].to_numpy(zero_copy_only=False).astype(np.int64)
+        start = offset + np.cumsum(lens) - lens
+        return pa.table({
+            id_col: t[id_col],
+            "len": pc.cast(t[len_col], pa.int64()),
+            "seq_id": pa.array(start // budget),
+            "seq_offset": pa.array(start % budget),
+        })
 
-    metas = ray.get([meta_task.remote(r, len_col) for r in refs])
-    keep = [(r, s) for r, (n, s) in zip(refs, metas) if n > 0]
-    if not keep:
-        return sorted_ds.map_batches(
-            lambda t: _apply_pack(t, 0, budget, id_col, len_col),
-            batch_format="pyarrow",
-        )
-    sums = [s for _r, s in keep]
-    offsets = np.concatenate([[0], np.cumsum(sums[:-1], dtype=np.int64)])
-    out_refs = [
-        apply_task.remote(r, int(off), budget, id_col, len_col)
-        for (r, _s), off in zip(keep, offsets)
-    ]
-    return rd.from_arrow_refs(out_refs)
+    return sorted_scan(ds, id_col, length_sum, offsets, apply)
 
 
 def pack_documents_sql(table: str, budget: int, id_col: str = "doc_id",

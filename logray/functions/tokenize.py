@@ -16,11 +16,11 @@ training-data pipeline.  Three pieces:
   with ONE vectorized numpy pass
   over the Arrow string buffer (byte-class boundaries, GPT-2-style
   single-space attachment), unique pre-tokens are factorized in C and
-  encoded once through a persistent per-actor cache (Zipf makes the hit
+  encoded once through a persistent per-worker cache (Zipf makes the hit
   rate ~1), and ids are scattered back to rows with the same
   repeat/cumsum gather the chunker uses.  No Python loop over rows; the
   only per-pre-token Python is a bytes slice + one dict probe, amortized
-  across the actor's lifetime by the cache.
+  across the worker process's lifetime by the cache.
 - :func:`chunk_documents_tokens` — the token-budget variant of
   ``chunk_documents``: windows each document by TOKENS (max_tokens,
   overlap_tokens) and decodes each window back to text (byte-level BPE is
@@ -465,51 +465,21 @@ def _tokenize_fn(t: pa.Table, bpe_ref=None, text_col: str = "text") -> pa.Table:
     return t.append_column("n_tokens", pa.array(per_row, pa.int64()))
 
 
-class TokenizeBatch:
-    """Actor-pool form of :func:`_tokenize_fn` (kept for callers that
-    want an explicit `(min, max)` actor pool, e.g. GPU-adjacent setups);
-    the default task-based path in :func:`tokenize_bpe` is faster on CPU
-    because it fuses with the read."""
-
-    def __init__(self, bpe_ref, text_col: str = "text"):
-        self.bpe = _resolve_bpe(bpe_ref)
-        self.text_col = text_col
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        return _tokenize_fn(t, self.bpe, self.text_col)
-
-
-def tokenize_bpe(ds, bpe, text_col: str = "text", concurrency=None,
+def tokenize_bpe(ds, bpe, text_col: str = "text",
                  batch_size: int | None = None):
     """Append ``token_ids: list<int32>`` and ``n_tokens`` to every row.
 
     ``bpe`` is a :class:`ByteBPE`, its JSON, or a ``ray.ObjectRef`` of
     either (``ray.put`` it once for cluster runs with big vocabs).  The
-    stage is a plain fused task map with a per-worker vocab cache; pass a
-    ``(min, max)`` tuple as ``concurrency`` to force an actor pool."""
-    import ray
-
-    if isinstance(concurrency, tuple):
-        if isinstance(bpe, ByteBPE):
-            bpe = ray.put(bpe.to_json())
-        return ds.map_batches(
-            TokenizeBatch,
-            fn_constructor_kwargs=dict(bpe_ref=bpe, text_col=text_col),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-            concurrency=concurrency,
-        )
+    stage is a plain fused task map with a per-worker vocab cache."""
     if isinstance(bpe, ByteBPE):
         bpe = bpe.to_json()
-    kw = {} if concurrency is None else {"concurrency": concurrency}
     return ds.map_batches(
         _tokenize_fn,
         fn_kwargs=dict(bpe_ref=bpe, text_col=text_col),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=batch_size,
-        **kw,
     )
 
 
@@ -549,53 +519,24 @@ def _detokenize_fn(t: pa.Table, bpe_ref=None, ids_col: str = "token_ids",
     return t.append_column(out_col, text)
 
 
-class DetokenizeBatch:
-    """Actor-pool form of :func:`_detokenize_fn` (see TokenizeBatch)."""
-
-    def __init__(self, bpe_ref, ids_col: str = "token_ids",
-                 out_col: str = "text_decoded"):
-        self.bpe = _resolve_bpe(bpe_ref)
-        self.ids_col = ids_col
-        self.out_col = out_col
-
-    def __call__(self, t: pa.Table) -> pa.Table:
-        return _detokenize_fn(t, self.bpe, self.ids_col, self.out_col)
-
-
 def detokenize(ds, bpe, ids_col: str = "token_ids",
-               out_col: str = "text_decoded", concurrency=None):
-    """Append ``out_col`` = decoded text of ``ids_col``.  Fused task map
-    by default; pass a ``(min, max)`` tuple to force an actor pool."""
-    import ray
-
-    if isinstance(concurrency, tuple):
-        if isinstance(bpe, ByteBPE):
-            bpe = ray.put(bpe.to_json())
-        return ds.map_batches(
-            DetokenizeBatch,
-            fn_constructor_kwargs=dict(bpe_ref=bpe, ids_col=ids_col,
-                                       out_col=out_col),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=None,
-            concurrency=concurrency,
-        )
+               out_col: str = "text_decoded"):
+    """Append ``out_col`` = decoded text of ``ids_col`` (fused task map
+    with the per-worker vocab cache)."""
     if isinstance(bpe, ByteBPE):
         bpe = bpe.to_json()
-    kw = {} if concurrency is None else {"concurrency": concurrency}
     return ds.map_batches(
         _detokenize_fn,
         fn_kwargs=dict(bpe_ref=bpe, ids_col=ids_col, out_col=out_col),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=None,
-        **kw,
     )
 
 
 def chunk_documents_tokens(ds, bpe, max_tokens: int = 512,
                            overlap_tokens: int = 64, text_col: str = "text",
-                           id_col: str = "doc_id", concurrency=None):
+                           id_col: str = "doc_id"):
     """Token-budget chunking: window each document by TOKENS.
 
     ``step = max_tokens - overlap_tokens``; a document of T tokens yields
@@ -606,7 +547,7 @@ def chunk_documents_tokens(ds, bpe, max_tokens: int = 512,
     concatenate — minus window overlaps — back to the document).
     Null-text documents are dropped.  Output: (id_col, chunk_idx,
     token_ids, n_tokens, chunk_text).  Fused task map with the
-    per-worker vocab cache (``concurrency`` caps concurrent tasks)."""
+    per-worker vocab cache."""
     if overlap_tokens >= max_tokens:
         raise ValueError("overlap_tokens must be < max_tokens")
     step = max_tokens - overlap_tokens
@@ -686,12 +627,10 @@ def chunk_documents_tokens(ds, bpe, max_tokens: int = 512,
             "chunk_text": chunk_text,
         })
 
-    kw = {} if concurrency is None else {"concurrency": concurrency}
     return ds.map_batches(
         chunk_fn,
         fn_kwargs=dict(bpe_ref=bpe),
         batch_format="pyarrow",
         zero_copy_batch=True,
         batch_size=None,
-        **kw,
     )

@@ -134,11 +134,9 @@ def _events_to_transcript_cols(t: pa.Table) -> pa.Table:
     return out
 
 
-def _segmented_turn_idx(t: pa.Table, head_offset: int) -> pa.Table:
-    """Vectorized within-conversation rank for ONE block of the globally
-    (conv_id, ts, event_id)-sorted dataset: segmented cumcount over the
-    conv runs, with ``head_offset`` added to the first run (the part of a
-    conversation that began in earlier blocks)."""
+def _segmented_turn_idx(t: pa.Table) -> pa.Table:
+    """Vectorized within-conversation rank for ONE (conv_id, ts,
+    event_id)-sorted bucket: segmented cumcount over the conv runs."""
     n = t.num_rows
     if n == 0:
         return t.append_column("turn_idx", pa.array([], pa.int32()))
@@ -148,32 +146,18 @@ def _segmented_turn_idx(t: pa.Table, head_offset: int) -> pa.Table:
         change[1:] = ~np.asarray(pc.equal(c.slice(1), c.slice(0, n - 1)))
     run_start = np.flatnonzero(change)
     run_id = np.cumsum(change) - 1
-    local = np.arange(n, dtype=np.int64) - run_start[run_id]
-    turn = local + np.where(run_id == 0, head_offset, 0)
+    turn = np.arange(n, dtype=np.int64) - run_start[run_id]
     return t.append_column("turn_idx", pa.array(turn.astype(np.int32)))
-
-
-def _block_conv_summary(t: pa.Table):
-    """(first_conv, last_conv, nrows, tail_run_len) of one sorted block."""
-    n = t.num_rows
-    if n == 0:
-        return None, None, 0, 0
-    first = t["conv_id"][0].as_py()
-    last = t["conv_id"][n - 1].as_py()
-    eq_rev = np.asarray(pc.equal(t["conv_id"], last))[::-1]
-    tail = n if eq_rev.all() else int(np.argmin(eq_rev))
-    return first, last, n, tail
 
 
 def assign_turn_idx(ds, num_buckets: int = 64):
     """turn_idx = rank of the event within its conversation by (ts,
     event_id) — the STREAMING scale shape: one ``hash(conv_id) % B``
     shuffle, then per bucket an Arrow sort by (conv_id, ts, event_id)
-    and the same vectorized segmented cumcount.  Every conversation is
+    and a vectorized segmented cumcount.  Every conversation is
     complete inside its bucket, so there is no block-seam fix-up, no
-    global range sort, and — unlike :func:`assign_turn_idx_sorted` —
-    NO full-width materialize: output blocks stream straight into the
-    consumer.  Partitioning assumption: one bucket's rows fit a worker
+    global range sort and no full-width materialize.  Partitioning
+    assumption: one bucket's rows fit a worker
     (raise ``num_buckets`` with corpus size; a single pathological
     conversation bounds the minimum at its own size)."""
     from logray.stages.bucketing import grouped_apply
@@ -182,63 +166,10 @@ def assign_turn_idx(ds, num_buckets: int = 64):
         t = t.combine_chunks()
         t = t.sort_by([("conv_id", "ascending"), ("ts", "ascending"),
                        ("event_id", "ascending")])
-        return _segmented_turn_idx(t, 0)
+        return _segmented_turn_idx(t)
 
     return grouped_apply(ds, "conv_id", per_bucket, num_buckets=num_buckets,
                          batch_format="pyarrow")
-
-
-def assign_turn_idx_sorted(ds):
-    """turn_idx = rank of the event within its conversation by (ts,
-    event_id), computed WITHOUT per-group Python: one global sort by
-    (conv_id, ts, event_id), then a vectorized segmented cumcount per
-    block.  A conversation straddling block boundaries is fixed up with a
-    per-block head offset: tiny per-block (first, last, nrows, tail_run)
-    summaries are collected in block order and a driver-side scan derives
-    how many rows of each block's first conversation precede it.
-
-    This variant also leaves the corpus globally (conv, ts)-sorted —
-    useful when the caller wants that ordering anyway — but it pins the
-    ENTIRE sorted full-width dataset in the object store.  When only the
-    turn_idx column is needed, :func:`assign_turn_idx` (one bucket
-    shuffle, streaming, no materialize) is the 100-TB shape.
-
-    This is the zipWithIndex shape — the one place the Dataset API cannot
-    express the dependency (a block's ranks depend on the previous blocks'
-    tail run), so it drops to raw Ray tasks over the sorted Dataset's own
-    block refs; everything stays distributed and vectorized."""
-    import ray
-    import ray.data as rd
-
-    sorted_ds = ds.sort(["conv_id", "ts", "event_id"]).materialize()
-    blocks = [
-        blk for bundle in sorted_ds.iter_internal_ref_bundles() for blk in bundle.blocks
-    ]
-    refs = [r for r, _m in blocks]
-    if not refs:
-        return sorted_ds.map_batches(
-            lambda t: _segmented_turn_idx(t, 0), batch_format="pyarrow"
-        )
-
-    summary_task = ray.remote(num_cpus=0.5)(_block_conv_summary)
-    apply_task = ray.remote(num_cpus=0.5)(_segmented_turn_idx)
-
-    summaries = ray.get([summary_task.remote(r) for r in refs])
-    offsets = []
-    run_conv, run_len = None, 0
-    for first, last, nrows, tail in summaries:
-        if nrows == 0:
-            offsets.append(0)
-            continue
-        off = run_len if first == run_conv else 0
-        offsets.append(off)
-        if last == first:
-            run_len = off + nrows
-        else:
-            run_len = tail
-        run_conv = last
-    out_refs = [apply_task.remote(r, off) for r, off in zip(refs, offsets)]
-    return rd.from_arrow_refs(out_refs)
 
 
 def transcripts_from_events(sf_dir: str, with_turn_idx: bool = True):

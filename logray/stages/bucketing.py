@@ -17,6 +17,11 @@
   reduce on plain Ray tasks (no Ray ``groupby`` sort), its reduce-task
   count set by the one sizing rule :func:`reduce_tasks`, and it is
   EAGER: the input runs when the exchange is called.
+- :func:`sorted_scan` — the ONE range-sorted block scan: sort, one
+  summary task per sorted block, a driver scan over the summaries in
+  order, then one task per block that applies its carry.  It serves
+  every operator whose rows depend on the blocks before them (global
+  ranks, packing offsets, transition windows across block seams).
 - :func:`isin_sorted` — the ONE sorted-array membership probe (one
   ``searchsorted`` per query batch against a broadcast or per-shard
   sorted index), shared by every broadcast id/hash filter.
@@ -246,6 +251,23 @@ def reduce_tasks(num_blocks: int, num_bytes: int, cpus: int,
     return max(k, 1)
 
 
+def _nonempty_blocks(ds) -> list:
+    """``(ref, metadata)`` of every block of ``ds`` that holds rows, in
+    the Dataset's block order.  Ray's sort and map operators can emit
+    empty, often schema-less, blocks; dropping them here means no kernel
+    ever sees one.  Block order is part of every caller's result (a
+    reducer concatenates its slices in it, a sorted scan carries across
+    it), and a union's blocks otherwise arrive in whatever order its
+    inputs finish, so ``preserve_order`` is set for this one execution."""
+    opts = ds.context.execution_options
+    keep, opts.preserve_order = opts.preserve_order, True
+    try:
+        return [(ref, meta) for bundle in ds.iter_internal_ref_bundles()
+                for ref, meta in bundle.blocks if meta.num_rows != 0]
+    finally:
+        opts.preserve_order = keep
+
+
 def _split(block, k: int):
     """Split task: the rows of one tagged block ordered stably by
     (``b % k``, ``b``) and cut into ``k`` slices, slice ``j`` holding the
@@ -317,17 +339,7 @@ def bucket_exchange(tagged_ds, fn, batch_format: str = "pandas"):
     from ray.data import DataContext
     from ray.data._internal.remote_fn import cached_remote_fn
 
-    # input-block order is part of the result: a reducer concatenates its
-    # slices in that order, and a union's blocks otherwise arrive in
-    # whatever order its inputs finish
-    opts = tagged_ds.context.execution_options
-    keep, opts.preserve_order = opts.preserve_order, True
-    try:
-        blocks = [(ref, meta)
-                  for bundle in tagged_ds.iter_internal_ref_bundles()
-                  for ref, meta in bundle.blocks if meta.num_rows != 0]
-    finally:
-        opts.preserve_order = keep
+    blocks = _nonempty_blocks(tagged_ds)
     k = reduce_tasks(len(blocks), sum(m.size_bytes or 0 for _, m in blocks),
                      int(ray.cluster_resources().get("CPU", 1)),
                      DataContext.get_current().target_max_block_size)
@@ -346,6 +358,44 @@ def bucket_exchange(tagged_ds, fn, batch_format: str = "pandas"):
     if any(ray.get([is_pandas for _, is_pandas in outs])):
         return ray.data.from_pandas_refs(refs)
     return ray.data.from_arrow_refs(refs)
+
+
+def _on_arrow(fn, block, *args):
+    """Block task of :func:`sorted_scan`: ``fn`` on one block as an Arrow
+    table (pandas blocks convert through Ray's ``BlockAccessor``)."""
+    from ray.data.block import BlockAccessor
+
+    return fn(BlockAccessor.for_block(block).to_arrow(), *args)
+
+
+def sorted_scan(ds, keys, summarize, scan, apply=None):
+    """The range-sorted block scan, for results where a row depends on
+    the rows sorted before it (a global row offset, a tie run or key run
+    continuing across a block seam) — the one dependency the Dataset API
+    cannot express.
+
+    ``ds.sort(keys)`` is materialized and its non-empty blocks are taken
+    in sort order.  Each block, as an Arrow table, gets one plain
+    ``summarize(table)`` task; the driver then calls ``scan(summaries)``
+    over the summaries in sort order.  Without ``apply`` that return is
+    the result.  With ``apply``, ``scan`` returns one carry per block,
+    each block gets one plain ``apply(table, carry) -> pa.Table`` task,
+    and the result is the Dataset of those tables in sort order (no
+    blocks for an input without rows).  Summaries and carries should be
+    small: they travel to and from the driver.  The tasks are pure, so
+    Ray's retries replay them safely.  The sort is the only wide step and
+    the materialized sort output is the working set it pins, so callers
+    sort a narrow projection."""
+    import ray
+    from ray.data._internal.remote_fn import cached_remote_fn
+
+    refs = [ref for ref, _ in _nonempty_blocks(ds.sort(keys).materialize())]
+    task = cached_remote_fn(_on_arrow, num_cpus=0.5)
+    carries = scan(ray.get([task.remote(summarize, ref) for ref in refs]))
+    if apply is None:
+        return carries
+    return ray.data.from_arrow_refs(
+        [task.remote(apply, ref, c) for ref, c in zip(refs, carries)])
 
 
 def grouped_apply(ds, key_cols, fn, num_buckets: int = 32,

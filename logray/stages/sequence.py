@@ -22,7 +22,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from logray.stages.bucketing import grouped_apply, stream_fold
+from logray.stages.bucketing import (arrow_type_of, grouped_apply,
+                                     sorted_scan, stream_fold)
 from logray.stages.windowfn import _sorted_runs
 
 __all__ = [
@@ -132,15 +133,10 @@ def transition_counts(ds, key_col: str, order_col: str, val_col: str,
 def _transition_counts_sorted(ds, key_col: str, order_cols: list[str],
                               val_col: str, names: list[str], order: int,
                               as_pandas: bool):
-    """Skew-proof plan: global range sort of the narrow projection, one
-    counting task per sorted block (interior windows), driver stitch of
-    the O(order)-row block boundaries (seam windows)."""
-    import ray
-
-    from logray.functions.packing import _to_table
-
-    from logray.stages.bucketing import arrow_type_of
-
+    """Skew-proof plan: global range sort of the narrow projection on the
+    one sorted-block scan (:func:`~logray.stages.bucketing.sorted_scan`):
+    one counting task per sorted block (interior windows), driver stitch
+    of the O(order)-row block boundaries (seam windows)."""
     null_col = "__key_is_null"
     schema = ds.schema()
     # an all-null block infers a null-typed key, which no fill value
@@ -161,17 +157,7 @@ def _transition_counts_sorted(ds, key_col: str, order_cols: list[str],
         return t.set_column(t.schema.get_field_index(key_col), key_col,
                             pc.fill_null(k, pa.scalar(0).cast(k.type)))
 
-    narrow = ds.select_columns([key_col] + order_cols + [val_col]).map_batches(
-        sortable, batch_format="pyarrow", zero_copy_batch=True)
-    sorted_ds = narrow.sort([null_col, key_col] + order_cols).materialize()
-    blocks = [blk for bundle in sorted_ds.iter_internal_ref_bundles()
-              for blk in bundle.blocks]
-    refs = [r for r, _m in blocks]
-
-    def block_partial(blk):
-        t = _to_table(blk)
-        if t.num_rows == 0:  # empty blocks can come back schema-less
-            return None
+    def block_partial(t: pa.Table):
         kv = pa.table({
             key_col: pc.if_else(t[null_col], pa.scalar(None, t[key_col].type),
                                 t[key_col]),
@@ -180,29 +166,31 @@ def _transition_counts_sorted(ds, key_col: str, order_cols: list[str],
         part = _count_windows(kv, key_col, val_col, order, names)
         return part, kv.slice(0, k), kv.slice(kv.num_rows - k)
 
-    task = ray.remote(num_cpus=0.5)(block_partial)
-    results = [r for r in ray.get([task.remote(r) for r in refs])
-               if r is not None]
+    def stitch(results) -> list[pa.Table]:
+        # the carry holds at most `order` rows, so seam windows (end in a
+        # block's head, start before the block) are counted over
+        # <= 2*order rows per block — O(order * num_blocks)
+        parts = [p for p, _h, _t in results if p.num_rows]
+        carry = None
+        for _p, head, tail in results:
+            if carry is not None:
+                kv = pa.concat_tables([carry, head], promote_options="default")
+                seam = _count_windows(kv, key_col, val_col, order, names,
+                                      carry.num_rows)
+                if seam.num_rows:
+                    parts.append(seam)
+                tail = pa.concat_tables([carry, tail],
+                                        promote_options="default")
+            carry = tail.slice(max(tail.num_rows - order, 0))
+        return parts
 
-    partials = [p for p, _h, _t in results if p.num_rows]
-    # driver stitch: the carry holds at most `order` rows, so seam
-    # windows (end in a block's head, start before the block) are
-    # counted over <= 2*order rows per block — O(order * num_blocks)
-    seams = []
-    carry = None
-    for _p, head, tail in results:
-        if carry is not None:
-            kv = pa.concat_tables([carry, head], promote_options="default")
-            seam = _count_windows(kv, key_col, val_col, order, names,
-                                  carry.num_rows)
-            if seam.num_rows:
-                seams.append(seam)
-            tail = pa.concat_tables([carry, tail], promote_options="default")
-        carry = tail.slice(max(tail.num_rows - order, 0))
-    folded = _fold_sum(names)(partials + seams) if partials + seams else None
-    if folded is None:
-        folded = pa.table({**{c: [] for c in names},
-                           "n": pa.array([], pa.int64())})
+    narrow = ds.select_columns([key_col] + order_cols + [val_col]).map_batches(
+        sortable, batch_format="pyarrow", zero_copy_batch=True)
+    parts = sorted_scan(narrow, [null_col, key_col] + order_cols,
+                        block_partial, stitch)
+    folded = (_fold_sum(names)(parts) if parts else
+              pa.table({**{c: [] for c in names},
+                        "n": pa.array([], pa.int64())}))
     return folded.to_pandas() if as_pandas else folded
 
 

@@ -15,8 +15,8 @@ Scale shape (same as sessionize / grouped_quantiles): one
 mergesort + segmented vectorized kernel per bucket — group count is
 ``num_buckets``, never the key cardinality, and no per-key Python.
 Rolling sums use the cumsum-difference trick clipped at partition
-starts, so a bucket of B rows costs O(B log B) regardless of window
-width.
+starts (:func:`_prefix_sums`), so a bucket of B rows costs O(B log B)
+regardless of window width.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from logray.stages.bucketing import grouped_apply, run_starts
+from logray.stages.bucketing import grouped_apply, run_starts, sorted_scan
 
 
 def _sorted_runs(g: pd.DataFrame, key_col: str, order_cols: list[str]):
@@ -56,6 +56,23 @@ def _shift_within_runs(values: pd.Series, run_id: np.ndarray, n: int) -> pd.Seri
     else:
         out = taken.where(pd.Series(same), None)
     return out
+
+
+def _prefix_sums(s: pd.Series, run_id: np.ndarray, first: np.ndarray):
+    """Prefix sums of a value column over one sorted bucket for the
+    cumsum-difference frames: ``(int_exact, csum, floor, non_null)``.  A
+    frame starting at row ``lo`` subtracts ``csum[lo - 1]`` only when
+    ``lo - 1 >= floor``.  Non-null integers sum exactly in one int64
+    cumsum over the bucket (``floor`` 0).  Floats restart the sum at each
+    key run (``floor`` = the run's first row), so one key's sums never
+    absorb the rounding of the keys sorted before it in its bucket."""
+    if pd.api.types.is_integer_dtype(s) and not s.isna().any():
+        return True, np.cumsum(s.to_numpy(np.int64)), 0, np.ones(len(s),
+                                                                 np.bool_)
+    v = s.to_numpy(np.float64, na_value=np.nan)
+    nn = ~np.isnan(v)
+    csum = pd.Series(np.where(nn, v, 0.0)).groupby(run_id).cumsum()
+    return False, csum.to_numpy(), first, nn
 
 
 def lag_lead(ds, key_col: str, order_col: str, value_col: str, n: int = 1,
@@ -101,35 +118,27 @@ def rolling_agg(ds, key_col: str, order_col: str, value_col: str,
     (= sum / n, null for an all-null frame).
 
     Integer inputs sum exactly in int64 (roll_sum stays int64); float
-    inputs sum via float64 cumsum differences — for bit-exact parity
-    with a SQL oracle feed integer units (e.g. cents)."""
+    inputs sum via differences of a float64 cumsum that restarts at each
+    key (:func:`_prefix_sums`) — for bit-exact parity with a SQL oracle
+    feed integer units (e.g. cents)."""
     order_cols = [order_col] + ([tiebreak_col] if tiebreak_col else [])
 
     def per_bucket(g: pd.DataFrame) -> pd.DataFrame:
-        g, _run_id, first = _sorted_runs(g, key_col, order_cols)
+        g, run_id, first = _sorted_runs(g, key_col, order_cols)
         n = len(g)
         if not n:
             g["roll_sum"] = pd.array([], dtype="int64")
             g["roll_n"] = pd.array([], dtype="int64")
             g["roll_mean"] = pd.array([], dtype="float64")
             return g
-        s = g[value_col]
-        int_exact = pd.api.types.is_integer_dtype(s) and not s.isna().any()
-        if int_exact:
-            v = s.to_numpy(np.int64)
-            nn = np.ones(n, np.bool_)
-            v0 = v
-        else:
-            v = s.to_numpy(np.float64, na_value=np.nan)
-            nn = ~np.isnan(v)
-            v0 = np.where(nn, v, 0.0)
-        csum = np.cumsum(v0)
+        int_exact, csum, sum_floor, nn = _prefix_sums(g[value_col], run_id,
+                                                      first)
         cnt = np.cumsum(nn.astype(np.int64))
         idx = np.arange(n, dtype=np.int64)
         lo = first if window is None else np.maximum(first, idx - (window - 1))
         prev = lo - 1
         has_prev = prev >= 0
-        base_s = np.where(has_prev, csum[np.clip(prev, 0, None)], 0)
+        base_s = np.where(prev >= sum_floor, csum[np.clip(prev, 0, None)], 0)
         base_c = np.where(has_prev, cnt[np.clip(prev, 0, None)], 0)
         roll_sum = csum - base_s
         roll_n = (cnt - base_c).astype(np.int64)
@@ -211,20 +220,11 @@ def rolling_agg_range(ds, key_col: str, order_col: str, value_col: str,
             raise OverflowError("order range too wide for the range-frame lift")
         lo = np.searchsorted(gv, gv - preceding, side="left")
         hi = np.searchsorted(gv, gv, side="right") - 1
-        s = g[value_col]
-        int_exact = pd.api.types.is_integer_dtype(s) and not s.isna().any()
-        if int_exact:
-            v = s.to_numpy(np.int64)
-            nn = np.ones(n, np.bool_)
-            v0 = v
-        else:
-            v = s.to_numpy(np.float64, na_value=np.nan)
-            nn = ~np.isnan(v)
-            v0 = np.where(nn, v, 0.0)
-        csum = np.cumsum(v0)
+        int_exact, csum, sum_floor, nn = _prefix_sums(g[value_col], run_id,
+                                                      first)
         cnt = np.cumsum(nn.astype(np.int64))
         has_prev = lo > 0
-        base_s = np.where(has_prev, csum[np.clip(lo - 1, 0, None)], 0)
+        base_s = np.where(lo > sum_floor, csum[np.clip(lo - 1, 0, None)], 0)
         base_c = np.where(has_prev, cnt[np.clip(lo - 1, 0, None)], 0)
         roll_sum = csum[hi] - base_s
         roll_n = (cnt[hi] - base_c).astype(np.int64)
@@ -329,18 +329,20 @@ def global_rank(ds, col: str, id_col: str, pct: bool = True,
     the global percentile-normalization pass (e.g. quality-score ranks
     before a top-p% cut).
 
-    Scale shape: the NARROW zipWithIndex pattern (same as
-    ``pack_documents``, packing.py) — only the two-column
-    ``(col, id_col)`` projection goes through the global sort and is
-    pinned; ranks are computed per sorted block (vectorized, fixed up
-    with tiny per-block (first, last, nrows, tail_run) summaries scanned
-    once on the driver: a block's head rows may continue the previous
-    block's tie run, so their shared rank starts ``head_offset`` rows
-    back) into a narrow ``(id, row_num, rnk[, pct_rank])`` table, which
-    is hash-joined back onto the full-width input.  The full-width
-    corpus therefore streams through one partitioned join instead of
-    being sort-materialized in the object store (the round-3 design
-    pinned every column of the corpus — the 100-TB killer).  Requires a
+    Scale shape: the one sorted-block scan
+    (:func:`~logray.stages.bucketing.sorted_scan`, shared with
+    ``pack_documents`` and the skew-safe ``transition_counts``) over the
+    NARROW projection — only the two-column ``(col, id_col)`` projection
+    goes through the global sort and is pinned; ranks are computed per
+    sorted block (vectorized, fixed up with tiny per-block (first, last,
+    nrows, tail_run) summaries scanned once on the driver: a block's head
+    rows may continue the previous block's tie run, so their shared rank
+    starts ``head_offset`` rows back) into a narrow ``(id, row_num,
+    rnk[, pct_rank])`` table, which is hash-joined back onto the
+    full-width input.  The full-width corpus therefore streams through
+    one partitioned join instead of being sort-materialized in the
+    object store (the round-3 design pinned every column of the corpus —
+    the 100-TB killer).  Requires a
     non-null ``col`` (SQL null-ordering is not replicated) and unique
     ``id_col`` — a duplicated id raises inside the join-back (the
     1:1 guard) instead of silently multiplying rows.
@@ -371,48 +373,51 @@ def global_rank(ds, col: str, id_col: str, pct: bool = True,
 def _rank_table(narrow, col: str, id_col: str, pct: bool = True):
     """Sort the two-column ``(col, id_col)`` projection and emit the
     narrow ``(id_col, row_num, rnk[, pct_rank])`` rank table plus the
-    total row count as ``(Dataset, total)``.  Refuses a wider input —
-    the materialized sort output is exactly the working set this op is
-    allowed to pin."""
-    import ray
-    import ray.data as rd
-
-    from logray.functions.packing import _to_table
-
+    total row count as ``(Dataset, total)``, on the one sorted-block
+    scan (:func:`~logray.stages.bucketing.sorted_scan`).  Refuses a wider
+    input — the materialized sort output is exactly the working set this
+    op is allowed to pin."""
     names = narrow.schema().names
     if set(names) != {col, id_col}:
         raise ValueError(
             f"_rank_table input must be exactly the ({col}, {id_col}) "
             f"projection, got columns {names}")
 
-    def summary(t):
-        t = _to_table(t)
+    def summary(t: pa.Table):
+        # (first, last, nrows, rows of the trailing tie run)
         n = t.num_rows
-        if n == 0:
-            return None, None, 0, 0
-        first = t[col][0].as_py()
         last = t[col][n - 1].as_py()
         eq_rev = np.asarray(pc.equal(t[col], last))[::-1]
         tail = n if eq_rev.all() else int(np.argmin(eq_rev))
-        return first, last, n, tail
+        return t[col][0].as_py(), last, n, tail
 
-    def apply(t, row_off: int, head_off: int, total: int):
-        t = _to_table(t)
-        if col not in t.column_names:
-            # schema-less empty block (only reachable on the all-empty
-            # fallback path; non-empty blocks always carry the schema)
-            t = pa.table({col: pa.nulls(0, pa.null()),
-                          id_col: pa.nulls(0, pa.null())})
+    total = 0
+
+    def scan(summaries):
+        # carry per block: its first global row, and how many rows before
+        # it the tie run holding its first row began
+        nonlocal total
+        total = sum(s[2] for s in summaries)
+        carries = []
+        run_val, run_len, row_off = None, 0, 0
+        for first, last, nrows, tail in summaries:
+            head = run_len if first == run_val else 0
+            carries.append((row_off, head, total))
+            run_len = head + nrows if last == first else tail
+            run_val = last
+            row_off += nrows
+        return carries
+
+    def apply(t: pa.Table, carry) -> pa.Table:
+        row_off, head_off, total = carry
         n = t.num_rows
-        vals = t[col].to_numpy(zero_copy_only=False)
-        starts = run_starts(vals)
+        starts = run_starts(t[col].to_numpy(zero_copy_only=False))
         idx = np.arange(n, dtype=np.int64)
-        first_peer = np.maximum.accumulate(np.where(starts, idx, 0)) if n else idx
-        rnk = row_off + first_peer + 1
+        first_peer = np.maximum.accumulate(np.where(starts, idx, 0))
         # rows whose first peer is local row 0 continue the tie run that
         # began head_off rows before this block
-        if n:
-            rnk = np.where(first_peer == 0, row_off - head_off + 1, rnk)
+        rnk = np.where(first_peer == 0, row_off - head_off + 1,
+                       row_off + first_peer + 1)
         out = {id_col: t[id_col]}
         out["row_num"] = pa.array(row_off + idx + 1)
         out["rnk"] = pa.array(rnk.astype(np.int64))
@@ -422,45 +427,8 @@ def _rank_table(narrow, col: str, id_col: str, pct: bool = True):
                 else np.zeros(n, np.float64))
         return pa.table(out)
 
-    sorted_ds = narrow.sort([col, id_col]).materialize()
-    blocks = [blk for bundle in sorted_ds.iter_internal_ref_bundles()
-              for blk in bundle.blocks]
-    refs = [r for r, _m in blocks]
-    if not refs:
-        return sorted_ds.map_batches(
-            lambda t: apply(t, 0, 0, 0), batch_format="pyarrow"), 0
-
-    summary_task = ray.remote(num_cpus=0.5)(summary)
-    apply_task = ray.remote(num_cpus=0.5)(apply)
-    summaries = ray.get([summary_task.remote(r) for r in refs])
-    total = sum(s[2] for s in summaries)
-    row_offs, head_offs = [], []
-    run_val, run_len, row_off = None, 0, 0
-    for first, last, nrows, tail in summaries:
-        row_offs.append(row_off)
-        if nrows == 0:
-            head_offs.append(0)
-            continue
-        head = run_len if first == run_val else 0
-        head_offs.append(head)
-        if last == first:
-            run_len = head + nrows
-        else:
-            run_len = tail
-        run_val = last
-        row_off += nrows
-    # a sort over many CPUs emits empty (often SCHEMA-LESS) blocks for a
-    # small input; apply would KeyError on them, and they contribute no
-    # rows — build apply tasks for the non-empty blocks only
-    out_refs = [
-        apply_task.remote(r, ro, ho, total)
-        for (r, ro, ho, s) in zip(refs, row_offs, head_offs, summaries)
-        if s[2] > 0
-    ]
-    if not out_refs:
-        return sorted_ds.map_batches(
-            lambda t: apply(t, 0, 0, 0), batch_format="pyarrow"), 0
-    return rd.from_arrow_refs(out_refs), total
+    ranked = sorted_scan(narrow, [col, id_col], summary, scan, apply)
+    return ranked, total
 
 
 def global_rank_sql(table: str, col: str, id_col: str,

@@ -20,9 +20,8 @@ from logray.stages.bucketing import isin_sorted
 ROOT = Path(__file__).resolve().parents[1]
 
 # modules whose actors hold real per-actor state (a loaded model, a
-# decoder pool, a trained tokenizer handed to an actor pool)
-_ACTOR_MODULES = {"functions/modelscore.py", "functions/multimodal.py",
-                  "functions/tokenize.py"}
+# decoder pool)
+_ACTOR_MODULES = {"functions/modelscore.py", "functions/multimodal.py"}
 _ACTOR_KWARGS = {"concurrency", "fn_constructor_args", "fn_constructor_kwargs"}
 
 
@@ -85,8 +84,8 @@ def test_broadcast_state_runs_on_plain_tasks():
                 if rel not in _ACTOR_MODULES and "concurrency=" in src]
     assert switches == []
     # the scan does see the real actor pools it exempts
-    assert _actor_sites("functions/tokenize.py",
-                        modules["functions/tokenize.py"])
+    assert _actor_sites("functions/modelscore.py",
+                        modules["functions/modelscore.py"])
 
 
 # stages of the exempt modules that take a ``concurrency=`` for their pool

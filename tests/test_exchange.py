@@ -8,6 +8,7 @@ mismatch, and keep the exchange in that one module.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import re
 import tempfile
@@ -266,6 +267,51 @@ def test_bucket_exchange_lives_in_bucketing():
                   if keyed_groupby.search(src)) == []
 
 
+def _block_task_modules(modules: dict[str, str]) -> list[str]:
+    """Modules that list a Dataset's blocks themselves
+    (``iter_internal_ref_bundles``) or define a plain block task: a
+    ``cached_remote_fn``, or ``ray.remote(num_cpus=...)`` applied to a
+    function (as a call or a decorator; actor classes do not count)."""
+    def sized_remote(n) -> bool:
+        return (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "remote"
+                and isinstance(n.func.value, ast.Name)
+                and n.func.value.id == "ray"
+                and any(k.arg == "num_cpus" for k in n.keywords))
+
+    def has_block_task(src: str) -> bool:
+        for node in ast.walk(ast.parse(src)):
+            if isinstance(node, ast.Call) and sized_remote(node.func):
+                return True
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and any(sized_remote(d) for d in node.decorator_list):
+                return True
+        return False
+
+    return sorted(rel for rel, src in modules.items()
+                  if "iter_internal_ref_bundles" in src
+                  or "cached_remote_fn" in src or has_block_task(src))
+
+
+def test_block_tasks_live_in_bucketing():
+    """Only stages/bucketing.py runs raw Ray tasks over a Dataset's
+    blocks: the bucket exchange and the sorted-block scan
+    (``sorted_scan``) own block listing, empty-block handling and the
+    task resource request, so no operator keeps its own copy."""
+    root = Path(__file__).resolve().parents[1] / "logray"
+    modules = {p.relative_to(root).as_posix(): p.read_text()
+               for p in root.rglob("*.py")}
+    assert len(modules) >= 40
+    assert _block_task_modules(modules) == ["stages/bucketing.py"]
+    # the scan sees both forms it forbids, and not an actor class
+    assert _block_task_modules({
+        "a.py": "t = ray.remote(num_cpus=0.5)(f)",
+        "b.py": "@ray.remote(num_cpus=1)\ndef f(block):\n    pass",
+        "c.py": "@ray.remote(num_cpus=0)\nclass Shard:\n    pass",
+        "d.py": "blocks = ds.iter_internal_ref_bundles()",
+    }) == ["a.py", "b.py", "d.py"]
+
+
 def test_exchange_runs_on_plain_tasks():
     """The exchange is the split -> reduce on plain tasks: no Ray
     groupby/map_groups path is left beside it in bucketing.py."""
@@ -332,6 +378,85 @@ def test_exchange_outputs_pinned_byte_bound(ray_session, spy_reduce_tasks,
         ctx.target_max_block_size = old
     assert got == _GOLDEN[case]
     assert any(k > parallel for k, parallel in spy_reduce_tasks)
+
+
+def _run_position_scan():
+    """``sorted_scan`` kernels that number every row globally and within
+    its key run (``k``), carrying the row count and the open run across
+    block seams; the summaries record every table the kernels saw."""
+    from logray.stages.bucketing import run_starts
+
+    def summarize(t: pa.Table):
+        k = t["k"].to_numpy()
+        return (type(t).__name__, t.column_names, k[0], k[-1], len(k),
+                int((k == k[-1]).sum()))
+
+    def scan(summaries):
+        carries, row, run_key, run_len = [], 0, None, 0
+        for _typ, _cols, first, last, rows, tail in summaries:
+            head = run_len if first == run_key else 0
+            carries.append((row, head))
+            run_len = head + rows if first == last else tail
+            run_key, row = last, row + rows
+        return carries
+
+    def apply(t: pa.Table, carry) -> pa.Table:
+        row, head = carry
+        idx = np.arange(t.num_rows)
+        first = np.maximum.accumulate(
+            np.where(run_starts(t["k"].to_numpy()), idx, 0))
+        pos = idx - first + np.where(first == 0, head, 0)
+        return pa.table({"id": t["id"], "row": pa.array(row + idx),
+                         "pos": pa.array(pos)})
+
+    return summarize, scan, apply
+
+
+@pytest.mark.parametrize("n, blocks, fmt", [
+    (0, 4, "arrow"),       # empty input: no task sees a block
+    (3, 12, "arrow"),      # more blocks than rows: the sort emits empty,
+                           # schema-less blocks
+    (600, 9, "pandas"),    # pandas blocks, one run across many blocks
+    (600, 9, "arrow"),
+])
+def test_sorted_scan(ray_session, n, blocks, fmt):
+    """The one sorted-block scan: kernels see only non-empty Arrow
+    tables in sort order, and a key run straddling three or more blocks
+    is carried across every seam."""
+    import ray.data as rd
+
+    from logray.stages.bucketing import sorted_scan
+
+    rng = np.random.default_rng(11)
+    df = pd.DataFrame({
+        "k": np.where(rng.random(n) < 0.6, 7,
+                      rng.integers(0, 20, n)).astype(np.int64),
+        "id": rng.permutation(n).astype(np.int64)})
+    ds = (rd.from_pandas(df) if fmt == "pandas" else
+          rd.from_arrow(pa.Table.from_pandas(df, preserve_index=False)))
+    ds = ds.repartition(blocks)
+    keys = ["k", "id"]
+    summarize, scan, apply = _run_position_scan()
+
+    summaries = sorted_scan(ds, keys, summarize, lambda s: s)
+    assert {(typ, tuple(cols)) for typ, cols, *_ in summaries} <= {
+        ("Table", ("k", "id"))}
+    assert all(rows for *_, rows, _tail in summaries)
+    assert sum(rows for *_, rows, _tail in summaries) == n
+    if n == 600:
+        assert sum(first <= 7 <= last
+                   for _t, _c, first, last, _r, _l in summaries) >= 3
+
+    got = sorted_scan(ds, keys, summarize, scan, apply).to_pandas()
+    assert len(got) == n
+    if not n:
+        return
+    want = df.sort_values(["k", "id"]).reset_index(drop=True)
+    want["row"] = np.arange(n)
+    want["pos"] = want.groupby("k").cumcount()
+    assert got["id"].tolist() == want["id"].tolist()
+    assert got["row"].tolist() == want["row"].tolist()
+    assert got["pos"].tolist() == want["pos"].tolist()
 
 
 def test_exchange_all_empty_blocks(ray_session):

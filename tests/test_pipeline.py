@@ -240,36 +240,6 @@ def test_run_pipeline_resumable_api(ray_session, tmp_path):
     assert m2 == m1
 
 
-def test_assign_turn_idx_sorted_straddles_blocks(ray_session):
-    """Vectorized turn_idx must equal the per-group rank even when a hot
-    conversation straddles many sorted blocks."""
-    import numpy as np
-    import pyarrow as pa
-    import ray.data as rd
-
-    from logray.sources.transcripts import assign_turn_idx_sorted
-
-    rng = np.random.default_rng(5)
-    n = 5000
-    convs = np.array([f"conv-{i:03d}" for i in range(20)])
-    conv = np.where(rng.random(n) < 0.5, "conv-hot", convs[rng.integers(0, 20, n)])
-    t = pa.table(
-        {
-            "conv_id": pa.array(conv.tolist()),
-            "ts": pa.array(rng.integers(0, 10**6, n), pa.int64()),
-            "event_id": pa.array(rng.permutation(n).astype(np.int64)),
-        }
-    )
-    out = assign_turn_idx_sorted(rd.from_arrow(t).repartition(17)).to_pandas()
-    want = t.to_pandas().sort_values(["conv_id", "ts", "event_id"])
-    want["turn_idx"] = want.groupby("conv_id").cumcount().astype("int32")
-    got = out.set_index("event_id")["turn_idx"]
-    for eid, w in zip(want["event_id"], want["turn_idx"]):
-        assert got[eid] == w
-    # the hot conv really does straddle blocks: more rows than one block
-    assert (out["conv_id"] == "conv-hot").sum() > 5000 / 17
-
-
 def test_jsonl_transcripts_round_trip(ray_session, tmp_path):
     import pandas as pd
     import ray.data as rd

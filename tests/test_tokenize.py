@@ -14,9 +14,10 @@ import pytest
 
 from logray.functions.tokenize import (
     ByteBPE,
-    TokenizeBatch,
     _CLS,
     _WS,
+    _resolve_bpe,
+    _tokenize_fn,
     chunk_documents_tokens,
     pretokenize_spans,
     tokenize_bpe,
@@ -178,13 +179,17 @@ def test_chunk_documents_tokens_contract(ray_session, pinned_bpe):
 
 
 def test_tokenize_cache_persists_across_batches(pinned_bpe):
-    tb = TokenizeBatch(pinned_bpe.to_json())
-    t1 = pa.table({"text": ["the quick fox", "the lazy dog"]})
-    tb(t1)
-    n_cached = len(tb.bpe._cache)
+    """A worker resolves one vocab JSON to one cached ByteBPE, whose
+    encode cache carries over from batch to batch."""
+    vocab = pinned_bpe.to_json()
+    _tokenize_fn(pa.table({"text": ["the quick fox", "the lazy dog"]}), vocab)
+    bpe = _resolve_bpe(vocab)
+    n_cached = len(bpe._cache)
     assert n_cached > 0
-    tb(pa.table({"text": ["the quick dog"]}))  # all words already cached
-    assert len(tb.bpe._cache) == n_cached
+    # all words already cached
+    _tokenize_fn(pa.table({"text": ["the quick dog"]}), vocab)
+    assert _resolve_bpe(vocab) is bpe
+    assert len(bpe._cache) == n_cached
 
 
 def test_vocab_json_roundtrip(pinned_bpe):

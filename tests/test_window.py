@@ -860,6 +860,36 @@ def test_rolling_agg_range_matches_duckdb(ray_session):
     pd.testing.assert_frame_equal(got[cols], want[cols], check_dtype=False)
 
 
+@pytest.mark.parametrize("frame", ["expanding", "rows-2", "range"])
+def test_float_roll_sum_ignores_other_keys_in_bucket(ray_session, frame):
+    """A float roll_sum restarts at each key run: with every key in one
+    bucket, key b's rows come out the same whether or not a key with
+    huge values sorts before it (one cumsum over the bucket would lose
+    b's small values in a's rounding)."""
+    import ray.data as rd
+
+    from logray.stages.windowfn import rolling_agg, rolling_agg_range
+
+    a = pd.DataFrame({"k": ["a", "a"], "t": [1, 2], "v": [1e20, 1e20]})
+    b = pd.DataFrame({"k": ["b", "b"], "t": [3, 4], "v": [1.0, 2.0]})
+
+    def b_rows(df):
+        ds = rd.from_pandas(df)
+        if frame == "range":
+            out = rolling_agg_range(ds, "k", "t", "v", preceding=10,
+                                    num_buckets=1)
+        else:
+            out = rolling_agg(ds, "k", "t", "v",
+                              window=None if frame == "expanding" else 2,
+                              num_buckets=1)
+        out = out.to_pandas()
+        return out[out["k"] == "b"].sort_values("t").reset_index(drop=True)
+
+    alone = b_rows(b)
+    pd.testing.assert_frame_equal(b_rows(pd.concat([a, b])), alone)
+    assert alone["roll_sum"].tolist() == [1.0, 3.0]
+
+
 def test_rolling_agg_range_rejects_non_integer_order(ray_session):
     import pytest
     import ray.data as rd
@@ -956,6 +986,35 @@ def test_global_rank_matches_duckdb(ray_session):
     pd.testing.assert_frame_equal(
         got[cols], want[cols], check_dtype=False
     )
+
+
+def test_global_rank_hot_tie_straddles_blocks(ray_session):
+    """Half the rows share one score, so its tie run spans many sorted
+    blocks: every row of it keeps the run's one rank, and row numbers
+    stay global."""
+    import numpy as np
+    import ray.data as rd
+
+    from logray.stages.windowfn import global_rank
+
+    rng = np.random.default_rng(5)
+    n = 5000
+    df = pd.DataFrame({
+        "id": rng.permutation(n).astype(np.int64),
+        "v": np.where(rng.random(n) < 0.5, 500,
+                      rng.integers(0, 1000, n)).astype(np.int64)})
+    got = (global_rank(rd.from_pandas(df).repartition(17), "v", "id")
+           .to_pandas().sort_values("id").reset_index(drop=True))
+    want = df.sort_values("id").reset_index(drop=True)
+    order = np.lexsort((want["id"], want["v"]))
+    row_num = np.empty(n, np.int64)
+    row_num[order] = np.arange(1, n + 1)
+    rnk = want["v"].rank(method="min").astype(np.int64).to_numpy()
+    assert got["row_num"].tolist() == row_num.tolist()
+    assert got["rnk"].tolist() == rnk.tolist()
+    assert got["pct_rank"].tolist() == ((rnk - 1) / (n - 1)).tolist()
+    # the hot tie really straddles blocks: more rows than one block
+    assert (want["v"] == 500).sum() > 3 * n / 17
 
 
 def test_global_rank_single_row_and_all_ties(ray_session):
